@@ -23,16 +23,22 @@ state):
 The generating function of path counts is
 
     Phi_p(t) = (1+t)/(1-t) * (1 - t(1-t)^(p-1)) / ((1-t)^p + (1-t)^(p-1) - 1).
+
+All automaton counts come from a single walk that steps the per-state count
+vector one letter at a time: count_paths reads the vector at length n, and
+state_series keeps every vector up to its order, so a whole list of counts
+costs one walk.  phi_series and count_language_bruteforce stay independent
+of the walk, as checks on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
 from .series import PowerSeries, expand_rational
-from .words import Letter
+from .words import Letter, _check_p
 from .normal_forms import is_in_Lp
 
 BRUTE_FORCE_WORD_LIMIT = 10**7
@@ -101,37 +107,12 @@ def build_automaton(p: int) -> CountingAutomaton:
     return CountingAutomaton(p, tuple(states), tuple(tuple(r) for r in mat), semantics)
 
 
-def _vector_after(aut: CountingAutomaton, n: int) -> list[int]:
+def _walk(aut: CountingAutomaton) -> Iterator[list[int]]:
+    """The one walk: path counts per state after 0, 1, 2, ... letters."""
     v = [0] * len(aut.states)
     v[aut.start] = 1
-    for _ in range(n):
-        nxt = [0] * len(aut.states)
-        for i, vi in enumerate(v):
-            if vi:
-                row = aut.matrix[i]
-                for j, c in enumerate(row):
-                    if c:
-                        nxt[j] += vi * c
-        v = nxt
-    return v
-
-
-def count_paths(p: int, n: int) -> int:
-    """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-    return sum(_vector_after(build_automaton(p), n))
-
-
-def state_series(p: int, order: int) -> dict[str, PowerSeries]:
-    """Per-state path-count generating functions f_state(t), exact."""
-    aut = build_automaton(p)
-    table = [[Fraction(0)] * order for _ in aut.states]
-    v = [0] * len(aut.states)
-    v[aut.start] = 1
-    for n in range(order):
-        for i, vi in enumerate(v):
-            table[i][n] = Fraction(vi)
+    while True:
+        yield v
         nxt = [0] * len(aut.states)
         for i, vi in enumerate(v):
             if vi:
@@ -139,7 +120,24 @@ def state_series(p: int, order: int) -> dict[str, PowerSeries]:
                     if c:
                         nxt[j] += vi * c
         v = nxt
-    return {s: PowerSeries(tuple(table[k])) for k, s in enumerate(aut.states)}
+
+
+def count_paths(p: int, n: int) -> int:
+    """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+    return sum(next(itertools.islice(_walk(build_automaton(p)), n, None)))
+
+
+def state_series(p: int, order: int) -> dict[str, PowerSeries]:
+    """Per-state path-count generating functions f_state(t), exact; their
+    sum counts |L_p ∩ Σ^n| for every n < order from a single walk."""
+    aut = build_automaton(p)
+    vectors = list(itertools.islice(_walk(aut), max(order, 0)))
+    return {
+        s: PowerSeries.from_coeffs([v[k] for v in vectors])
+        for k, s in enumerate(aut.states)
+    }
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -189,8 +187,3 @@ def count_language_bruteforce(p: int, n: int) -> int:
         )
     alphabet = [Letter(i, s) for i in range(p) for s in (1, -1)]
     return sum(1 for w in itertools.product(alphabet, repeat=n) if is_in_Lp(p, w))
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")

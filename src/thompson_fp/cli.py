@@ -166,7 +166,7 @@ def _cmd_growth(args) -> int:
         })
         return 0
     if args.method == "automaton":
-        counts = [automaton_mod.count_paths(args.p, n) for n in range(args.n)]
+        counts = series.series_to_ints(sum(automaton_mod.state_series(args.p, args.n).values()))
     elif args.method == "closed-form":
         counts = series.series_to_ints(automaton_mod.phi_series(args.p, args.n))
     else:

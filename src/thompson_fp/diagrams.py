@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce as _fold
 from typing import Iterable
 
-from .words import Letter
+from .words import Letter, _check_p
 
 
 class PTree:
@@ -106,11 +106,6 @@ def num_leaves(t: PTree) -> int:
     if t.children is None:
         return 1
     return sum(num_leaves(c) for c in t.children)
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
 
 
 @dataclass(frozen=True)

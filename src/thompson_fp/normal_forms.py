@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .words import Letter, Word
+from .words import Letter, Word, _check_p
 
 
 class NotInLanguageError(ValueError):
@@ -44,11 +44,6 @@ class NotInLanguageError(ValueError):
 CANCEL = "cancel"
 PUSH_POS = "push-positive"
 PUSH_NEG = "push-negative"
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
 
 
 def _rule_at(p: int, w: tuple, k: int) -> Optional[str]:

@@ -26,7 +26,7 @@ from typing import Iterator
 from . import automaton as automaton_mod
 from . import diagrams, fordham, normal_forms, rates, series
 from .diagrams import LEAF, PTree, TreePair
-from .words import Letter, Word, format_word
+from .words import Letter, Word, _check_p, format_word
 
 TREE_ENUMERATION_LIMIT = 20_000_000
 BALL_SIZE_LIMIT = 10**6
@@ -153,10 +153,11 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
     _check_p(p)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    est = float(rates.xi(p, Fraction(1, 10**3)).midpoint) ** radius
-    if est > BALL_SIZE_LIMIT:
+    # The ball of the free group on the 2p moves bounds the ball from above.
+    bound = 1 + sum(2 * p * (2 * p - 1) ** (k - 1) for k in range(1, radius + 1))
+    if bound > BALL_SIZE_LIMIT:
         raise EnumerationGuardError(
-            f"estimated ball size {est:.3g} exceeds {BALL_SIZE_LIMIT}"
+            f"ball size bound {bound} exceeds {BALL_SIZE_LIMIT}"
         )
     moves = []
     for i in range(p):
@@ -368,7 +369,7 @@ def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
 
     # Automaton triple agreement.
     phi = automaton_mod.phi_series(p, cfg["lang_order"])
-    pc = [automaton_mod.count_paths(p, n) for n in range(cfg["lang_order"])]
+    pc = series.series_to_ints(sum(automaton_mod.state_series(p, cfg["lang_order"]).values()))
     agree_closed = pc == series.series_to_ints(phi)
     brute_ns = [n for n in range(cfg["lang_order"]) if (2 * p) ** n <= 50_000]
     agree_brute = all(
@@ -415,8 +416,3 @@ def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
     )
 
     return VerifyReport(p, profile, tuple(checks))
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .words import _check_p
+
 DEFAULT_TOL = Fraction(1, 10**9)
 
 
@@ -270,11 +272,6 @@ def rate_report(p_max: int, tol: Fraction = DEFAULT_TOL) -> list[RateReportRow]:
             )
         )
     return rows
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
 
 
 def _check_tol(tol) -> Fraction:

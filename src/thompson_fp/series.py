@@ -1,8 +1,8 @@
 """Exact truncated power series and the positive growth series of F(p).
 
-All coefficients are Fractions; no floating point enters this module.
-A PowerSeries of order N carries coefficients 0..N-1; binary operations
-truncate to the smaller order.
+PowerSeries coefficients are Fractions; no floating point enters this
+module.  A PowerSeries of order N carries coefficients 0..N-1; binary
+operations truncate to the smaller order.
 
 The positive growth series S(x) = sum s_n x^n (s_n = number of positive
 elements of word length n) factors as S = L M_1 ... M_{p-2} R over the
@@ -24,6 +24,12 @@ and everything collapses to
 
 With N = (1 - x^3 M)^-1 the master equation becomes
 x N^p + (x^3 - x - 1) N + 1 = 0.
+
+The series is solved once, in integers, from that equation: rearranged to
+(1 + x - x^3) N = 1 + x N^p it is a triangular recurrence for the
+coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
+read from N^i, then M = P_{p-1} and M_i = P_i / P_{i-1}; L, R and S follow
+in Fraction arithmetic, with S reached two ways as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from .words import _check_p
 
 Scalar = Union[int, Fraction]
 
@@ -158,43 +166,42 @@ def _coerce(v, order: int) -> PowerSeries:
     raise TypeError(f"cannot treat {type(v).__name__} as a power series")
 
 
-def _extended(s: PowerSeries, order: int) -> PowerSeries:
-    # Zero-fill past the truncation order.  Only valid where the extra
-    # coefficients provably cannot influence the requested range, as in the
-    # solve_M fixed point where x^3 M pushes them out of scope.
-    return PowerSeries(s.coeffs + (Fraction(0),) * (order - s.order))
-
-
 DEFAULT_ORDER = 30
 
 
+def _solve_n_powers(p: int, order: int) -> list[list[int]]:
+    """Coefficients 0..order+1 of N, N^2, ..., N^p (index j holds N^(j+1)).
+
+    N solves (1 + x - x^3) N = 1 + x N^p.  Coefficient k of x N^p needs only
+    N_0..N_{k-1}, so N_k = [k=0] + (N^p)_{k-1} - N_{k-1} + N_{k-3}, after
+    which coefficient k of each higher power follows from the one below it."""
+    size = order + 2
+    powers = [[0] * size for _ in range(p)]
+    n = powers[0]
+    for k in range(size):
+        n[k] = 1 if k == 0 else powers[-1][k - 1] - n[k - 1]
+        if k >= 3:
+            n[k] += n[k - 3]
+        for lower, higher in zip(powers, powers[1:]):
+            higher[k] = sum(lower[t] * n[k - t] for t in range(k + 1))
+    return powers
+
+
+def _p_products(p: int, order: int) -> list[PowerSeries]:
+    """P_0, ..., P_{p-1}, where P_i = M_1...M_i = 1 + x^-2 (N^i - 1).
+
+    N = 1 + O(x^3), so coefficient k of x^-2 (N^i - 1) is (N^i)_{k+2}."""
+    one = PowerSeries.one(order)
+    powers = _solve_n_powers(p, order)[:-1]
+    return [one] + [one + PowerSeries.from_coeffs(c[2:]) for c in powers]
+
+
 def solve_M(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Middle-subtree product M = M_1...M_{p-1} by fixed-point iteration of
+    """Middle-subtree product M = M_1...M_{p-1} = P_{p-1}, which solves
 
-        M  <-  1 + x^-2 ((1 - x^3 M)^-(p-1) - 1)
-
-    starting from M = 1; each round fixes at least one more coefficient."""
+        M = 1 + x^-2 ((1 - x^3 M)^-(p-1) - 1)."""
     _check_p(p)
-    ext = order + 2
-    one_ext = PowerSeries.one(ext)
-    m = PowerSeries.one(order)
-    for _ in range(order + 2):
-        lifted = _extended(m, ext)
-        bracket = (one_ext - lifted.shift_up(3)).int_power(-(p - 1)) - one_ext
-        nxt = PowerSeries.one(order) + bracket.divide_xk(2)
-        if nxt == m:
-            return m
-        m = nxt
-    raise ArithmeticError("solve_M failed to stabilize; equation transcription bug")
-
-
-def _p_product(p: int, i: int, m: PowerSeries) -> PowerSeries:
-    """P_i = M_1...M_i = 1 + x^-2 ((1 - x^3 M)^-i - 1); P_0 = 1."""
-    order = m.order
-    ext = order + 2
-    one_ext = PowerSeries.one(ext)
-    bracket = (one_ext - _extended(m, ext).shift_up(3)).int_power(-i) - one_ext
-    return PowerSeries.one(order) + bracket.divide_xk(2)
+    return _p_products(p, order)[-1]
 
 
 def solve_Mi(p: int, i: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -202,8 +209,8 @@ def solve_Mi(p: int, i: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     _check_p(p)
     if not 1 <= i <= p - 1:
         raise ValueError(f"middle index must be in 1..{p - 1}, got {i}")
-    m = solve_M(p, order)
-    return _p_product(p, i, m) * _p_product(p, i - 1, m).reciprocal()
+    ps = _p_products(p, order)
+    return ps[i] * ps[i - 1].reciprocal()
 
 
 @dataclass(frozen=True)
@@ -223,13 +230,14 @@ class GrowthSeriesBundle:
 def positive_growth_series(p: int, order: int = DEFAULT_ORDER) -> GrowthSeriesBundle:
     """All subtree series plus S, computed two ways and cross-checked."""
     _check_p(p)
-    m = solve_M(p, order)
-    mi = tuple(solve_Mi(p, i, order) for i in range(1, p))
+    ps = _p_products(p, order)
+    m = ps[-1]
+    mi = tuple(ps[i] * ps[i - 1].reciprocal() for i in range(1, p))
     prod = PowerSeries.one(order)
     for s_i in mi:
         prod = prod * s_i
     if prod != m:
-        raise ArithmeticError("product of M_i disagrees with solve_M")
+        raise ArithmeticError("product of M_i disagrees with M")
     one = PowerSeries.one(order)
     x = PowerSeries.x(order)
     x2 = x * x
@@ -272,8 +280,3 @@ def series_to_ints(s: PowerSeries) -> list[int]:
             raise ArithmeticError(f"non-integer coefficient {c} in counting series")
         out.append(c.numerator)
     return out
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")

@@ -32,6 +32,12 @@ Word = tuple[Letter, ...]
 _TOKEN_RE = re.compile(r"x(\d+)(\^-1)?\Z")
 
 
+# The one validation of p, kept here because every other module imports words.
+def _check_p(p: int) -> None:
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+
+
 def x(index: int, sign: int = 1) -> Letter:
     if index < 0:
         raise ValueError(f"generator index must be >= 0, got {index}")

@@ -82,6 +82,7 @@ def test_state_series_sum_and_residuals():
         for i in range(1, p):
             fi, fi0 = fs[f"q{i}"], fs[f"q{i},0"]
             assert all(fi0.coefficient(n) == fi.coefficient(n - 1) for n in range(1, 12))
+    assert all(s.order == 0 for s in state_series(2, 0).values())
 
 
 def test_growth_ratio_approaches_xi():

@@ -45,6 +45,14 @@ def test_growth_language_methods_agree(capsys):
         results.append(payload["counts"])
     assert results[0] == results[1] == results[2]
     assert results[0][:3] == [1, 4, 12]
+    # past the brute-force range, the one walk against the closed form
+    long_runs = [
+        _run_json(capsys, ["growth", "language", "--p", "3", "--n", "60", "--method", method])
+        for method in ("automaton", "closed-form")
+    ]
+    assert [code for code, _ in long_runs] == [0, 0]
+    assert long_runs[0][1]["counts"] == long_runs[1][1]["counts"]
+    assert len(long_runs[0][1]["counts"]) == 60
 
 
 def test_rate_positive_exact_fractions(capsys):

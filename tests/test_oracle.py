@@ -68,8 +68,10 @@ def test_bfs_ball_f2():
 
 
 def test_bfs_ball_guard():
-    with pytest.raises(EnumerationGuardError):
-        bfs_group_ball(2, 25)
+    # radius 14 slipped past a guard that estimated the ball as xi(p)^r
+    for radius in (14, 25):
+        with pytest.raises(EnumerationGuardError):
+            bfs_group_ball(2, radius)
 
 
 def test_bfs_positive_monoid_yields_sorted_spellings():

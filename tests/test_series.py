@@ -77,11 +77,11 @@ def test_solve_Mi_product_telescopes():
 
 def test_p2_closed_form():
     # for p=2 the growth series of positive elements is rational
-    order = 30
-    s = positive_growth_series(2, order).s
-    closed = expand_rational([1, 0, -1], [1, -2, -1, 1], order)
-    assert (s - closed).is_zero
-    assert series_to_ints(s)[:7] == [1, 2, 4, 9, 20, 45, 101]
+    for order in (30, 200):
+        s = positive_growth_series(2, order).s
+        closed = expand_rational([1, 0, -1], [1, -2, -1, 1], order)
+        assert (s - closed).is_zero
+        assert series_to_ints(s)[:7] == [1, 2, 4, 9, 20, 45, 101]
 
 
 def test_first_coefficients_by_p():
@@ -97,9 +97,15 @@ def test_bundle_is_consistent():
     assert b.counts() == series_to_ints(b.s)
 
 
+def test_order_zero_has_no_bundle():
+    # an order-0 series has no constant term to invert
+    with pytest.raises(ZeroDivisionError):
+        positive_growth_series(2, 0)
+
+
 def test_master_equation_residual():
     for p in (2, 3, 5):
-        assert check_eqonn(p, 16)
+        assert check_eqonn(p, 16).is_zero
 
 
 def test_series_to_ints_rejects_fractions():
