@@ -241,13 +241,13 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_length(args) -> int:
     w = parse_word(args.word)
-    n = fordham.positive_length(args.p, w)
+    pair = diagrams.evaluate(args.p, w)
+    n = fordham.positive_length(args.p, pair)
     payload = {
         "schema": SCHEMA, "command": "length", "p": args.p,
         "word": format_word(w), "length": n,
     }
     if args.classes:
-        pair = diagrams.reduce(diagrams.evaluate(args.p, w))
         if pair.source.children is None:
             payload["classes"] = {}
         else:

@@ -30,10 +30,6 @@ class PTree:
         self.children = children
         self._key: str | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PTree):
             return NotImplemented
@@ -47,10 +43,6 @@ class PTree:
 
 
 LEAF = PTree()
-
-
-def leaf() -> PTree:
-    return LEAF
 
 
 def caret(children: Iterable[PTree]) -> PTree:

@@ -26,15 +26,18 @@ caret occurs after it in the total order (equivalently, anywhere among its
 transitive successors), otherwise right_empty.  A middle caret is middle_full
 when at least one of its successor children is a caret, otherwise
 middle_empty.  In a reduced positive tree at most one caret is right_empty.
+
+One walk in caret total order gives every caret its final class; `classify`
+numbers its result and `tree_weight` sums `CARET_WEIGHTS` over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .diagrams import PTree, TreePair, evaluate, is_right_spine, reduce
-from .words import Letter
 
 ROOT = "root"
 LEFT = "left"
@@ -94,27 +97,65 @@ class ClassifiedTree:
         }
 
 
-# Base kind codes used during traversal.
-_ROOT, _LEFT, _MID, _RIGHT = 0, 1, 2, 3
-
-
-def _child_kinds(p: int, kind: int, mid_i: int) -> tuple[list, list]:
-    """(predecessor, successor) lists of (child position, kind, middle index)."""
-    if kind == _ROOT:
+# A tree over F(p) needs at most p + 2 entries; the bound keeps the memo from
+# growing with every p a long process weighs.
+@lru_cache(maxsize=64)
+def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[tuple, tuple]:
+    """(predecessor, successor) tuples of (child position, kind, middle index)."""
+    if kind == ROOT:
         return (
-            [(0, _LEFT, 0)],
-            [(c, _MID, c) for c in range(1, p - 1)] + [(p - 1, _RIGHT, 0)],
+            ((0, LEFT, 0),),
+            tuple((c, MIDDLE, c) for c in range(1, p - 1)) + ((p - 1, RIGHT, 0),),
         )
-    if kind == _LEFT:
-        return [(0, _LEFT, 0)], [(c, _MID, c) for c in range(1, p)]
-    if kind == _RIGHT:
+    if kind == LEFT:
+        return ((0, LEFT, 0),), tuple((c, MIDDLE, c) for c in range(1, p))
+    if kind == RIGHT:
         return (
-            [(0, _MID, p - 1)],
-            [(c, _MID, c) for c in range(1, p - 1)] + [(p - 1, _RIGHT, 0)],
+            ((0, MIDDLE, p - 1),),
+            tuple((c, MIDDLE, c) for c in range(1, p - 1)) + ((p - 1, RIGHT, 0),),
         )
-    preds = [(c, _MID, mid_i + c) for c in range(p - mid_i)]
-    succs = [(p - mid_i + k, _MID, k + 1) for k in range(mid_i)]
+    if kind != MIDDLE:
+        raise ValueError(f"unknown caret kind {kind!r}")
+    preds = tuple((c, MIDDLE, mid_i + c) for c in range(p - mid_i))
+    succs = tuple((p - mid_i + k, MIDDLE, k + 1) for k in range(mid_i))
     return preds, succs
+
+
+def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[PTree, str, int | None]]:
+    """Every caret of `tree`, hung as a subtree of base kind `kind`, in caret
+    total order, as (caret, class, middle index or None)."""
+    carets: list[tuple[PTree, str, int | None]] = []
+    rights: list[int] = []  # positions in `carets` of the right carets
+    last_middle = -1
+
+    def visit(t: PTree, kind: str, mid_i: int) -> None:
+        nonlocal last_middle
+        preds, succs = _child_kinds(p, kind, mid_i)
+        for pos, ck, ci in preds:
+            child = t.children[pos]
+            if child.children is not None:
+                visit(child, ck, ci)
+        if kind == MIDDLE:
+            full = any(t.children[pos].children is not None for pos, _, _ in succs)
+            last_middle = len(carets)
+            carets.append((t, MIDDLE_FULL if full else MIDDLE_EMPTY, mid_i))
+        elif kind == RIGHT:
+            rights.append(len(carets))
+            carets.append((t, RIGHT_EMPTY, None))
+        else:
+            carets.append((t, kind, None))
+        for pos, ck, ci in succs:
+            child = t.children[pos]
+            if child.children is not None:
+                visit(child, ck, ci)
+
+    if tree.children is not None:
+        visit(tree, kind, mid_i)
+    # A right caret with a middle caret after it in the total order is full.
+    for k in rights:
+        if k < last_middle:
+            carets[k] = (carets[k][0], RIGHT_FULL, None)
+    return carets
 
 
 def classify(p: int, tree: PTree) -> ClassifiedTree:
@@ -132,97 +173,19 @@ def classify(p: int, tree: PTree) -> ClassifiedTree:
             number(c)
 
     number(tree)
-
-    classes: dict[int, CaretClass] = {}
-    order: list[int] = []
-
-    def visit(t: PTree, kind: int, mid_i: int) -> None:
-        preds, succs = _child_kinds(p, kind, mid_i)
-        for pos, ck, ci in preds:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-        my = preorder[id(t)]
-        if kind == _MID:
-            full = any(
-                t.children[pos].children is not None for pos, _, _ in succs
-            )
-            classes[my] = CaretClass(MIDDLE_FULL if full else MIDDLE_EMPTY, mid_i)
-        elif kind == _ROOT:
-            classes[my] = CaretClass(ROOT)
-        elif kind == _LEFT:
-            classes[my] = CaretClass(LEFT)
-        else:
-            classes[my] = CaretClass(RIGHT_EMPTY)  # refined below
-        order.append(my)
-        for pos, ck, ci in succs:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-
-    visit(tree, _ROOT, 0)
-
-    # A right caret with a middle caret after it in the total order is full.
-    middle_seen = False
-    for idx in reversed(order):
-        kind = classes[idx].kind
-        if kind in (MIDDLE_EMPTY, MIDDLE_FULL):
-            middle_seen = True
-        elif kind == RIGHT_EMPTY and middle_seen:
-            classes[idx] = CaretClass(RIGHT_FULL)
-
-    return ClassifiedTree(p, tree, classes, tuple(order))
+    carets = _walk(p, tree, ROOT, 0)
+    classes = {preorder[id(t)]: CaretClass(cls, i) for t, cls, i in carets}
+    return ClassifiedTree(p, tree, classes, tuple(classes))
 
 
 def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 0) -> int:
-    """Total caret weight of a tree, without building the classification.
+    """Total caret weight of a tree.
 
     `root_kind`/`middle_index` let a tree be weighed as a hanging subtree
     (e.g. a middle subtree of kind M^i); the default weighs a source tree.
     """
-    if tree.children is None:
-        return 0
-    kind0 = {ROOT: _ROOT, LEFT: _LEFT, RIGHT: _RIGHT, MIDDLE: _MID}[root_kind]
-    entries: list[int] = []  # base kind codes in caret total order
-
-    def visit(t: PTree, kind: int, mid_i: int) -> None:
-        preds, succs = _child_kinds(p, kind, mid_i)
-        for pos, ck, ci in preds:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-        if kind == _MID:
-            full = any(t.children[pos].children is not None for pos, _, _ in succs)
-            entries.append(5 if full else 4)
-        else:
-            entries.append(kind)
-        for pos, ck, ci in succs:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-
-    visit(tree, kind0, middle_index)
-
     w = CARET_WEIGHTS
-    w_root, w_left = w[ROOT], w[LEFT]
-    w_me, w_mf = w[MIDDLE_EMPTY], w[MIDDLE_FULL]
-    w_re, w_rf = w[RIGHT_EMPTY], w[RIGHT_FULL]
-    total = 0
-    middle_seen = False
-    for code in reversed(entries):
-        if code == 4:
-            total += w_me
-            middle_seen = True
-        elif code == 5:
-            total += w_mf
-            middle_seen = True
-        elif code == _RIGHT:
-            total += w_rf if middle_seen else w_re
-        elif code == _LEFT:
-            total += w_left
-        else:
-            total += w_root
-    return total
+    return sum(w[cls] for _, cls, _ in _walk(p, tree, root_kind, middle_index))
 
 
 def positive_length(p: int, element: Union[TreePair, tuple, list]) -> int:

@@ -10,6 +10,13 @@ terminating) over the full generating set:
 A word is irreducible iff every adjacent pair (x_a^e, x_b^f) satisfies one of
 a < b;  a == b and e == f;  0 < a - b < p and f == -1.
 
+to_infinite_nf always rewrites the leftmost reducible pair, in one
+left-to-right pass over a list rewritten in place: after a rewrite at
+position k only the pair at k - 1 can have become reducible on the left, so
+the pass steps back one place.  It checks O(len + steps) pairs, where steps
+is the number of rewrites, at most step_budget(len) since each pair of
+letters swaps at most once.
+
 Finite-alphabet normal form.  The bar map rewrites x_j^e (j >= 1, writing
 j = r + d(p-1) with 1 <= r <= p-1) as x_0^-d x_r^e x_0^d and then cancels
 adjacent x_0^e x_0^-e pairs.  On irreducible words it is a bijection onto the
@@ -32,7 +39,7 @@ preimage is x_0^{k_0} x_{a_1}^{l_1} x_0^{k_1} ... with a_i = r_i + d_i(p-1).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .words import Letter, Word, _check_p
 
@@ -46,7 +53,7 @@ PUSH_POS = "push-positive"
 PUSH_NEG = "push-negative"
 
 
-def _rule_at(p: int, w: tuple, k: int) -> Optional[str]:
+def _rule_at(p: int, w: Sequence[Letter], k: int) -> Optional[str]:
     """Which rule (if any) applies to the pair at positions k, k+1."""
     a, b = w[k], w[k + 1]
     if a[0] == b[0] and a[1] == -b[1]:
@@ -58,13 +65,15 @@ def _rule_at(p: int, w: tuple, k: int) -> Optional[str]:
     return None
 
 
-def _apply(w: tuple, k: int, rule: str, p: int) -> tuple:
+def _apply(w: list, k: int, rule: str, p: int) -> None:
+    """Rewrite the pair at positions k, k+1 of w in place."""
     a, b = w[k], w[k + 1]
     if rule == CANCEL:
-        return w[:k] + w[k + 2:]
-    if rule == PUSH_POS:
-        return w[:k] + (b, Letter(a[0] + p - 1, a[1])) + w[k + 2:]
-    return w[:k] + (b, Letter(a[0] - (p - 1), a[1])) + w[k + 2:]
+        del w[k:k + 2]
+    elif rule == PUSH_POS:
+        w[k], w[k + 1] = b, Letter(a[0] + p - 1, a[1])
+    else:
+        w[k], w[k + 1] = b, Letter(a[0] - (p - 1), a[1])
 
 
 def step_budget(word_len: int) -> int:
@@ -89,28 +98,29 @@ def to_infinite_nf(
     leftmost applicable position (cancel > push-negative > push-positive,
     though no two rules ever apply to the same pair)."""
     _check_p(p)
-    w = tuple(word)
+    w = list(word)
     budget = step_budget(len(w))
-    for _ in range(budget):
-        for k in range(len(w) - 1):
-            rule = _rule_at(p, w, k)
-            if rule is not None:
-                w = _apply(w, k, rule, p)
-                if trace is not None:
-                    trace.append({"rule": rule, "position": k})
-                break
-        else:
-            return w
-    if is_infinite_nf(p, w):
-        return w
-    raise RuntimeError("rewriting exceeded its step budget; system is broken")
+    k = 0
+    while k < len(w) - 1:
+        rule = _rule_at(p, w, k)
+        if rule is None:
+            k += 1
+            continue
+        if budget == 0:
+            raise RuntimeError("rewriting exceeded its step budget; system is broken")
+        budget -= 1
+        _apply(w, k, rule, p)
+        if trace is not None:
+            trace.append({"rule": rule, "position": k})
+        k = max(k - 1, 0)
+    return tuple(w)
 
 
 def rewrite_random(p: int, word: Iterable[Letter], rng: random.Random) -> Word:
     """Rewrite to irreducible form choosing applicable positions at random.
     Confluence means the result must equal to_infinite_nf's."""
     _check_p(p)
-    w = tuple(word)
+    w = list(word)
     budget = step_budget(len(w))
     for _ in range(budget):
         options = [
@@ -119,11 +129,11 @@ def rewrite_random(p: int, word: Iterable[Letter], rng: random.Random) -> Word:
             if (rule := _rule_at(p, w, k)) is not None
         ]
         if not options:
-            return w
+            return tuple(w)
         k, rule = rng.choice(options)
-        w = _apply(w, k, rule, p)
+        _apply(w, k, rule, p)
     if is_infinite_nf(p, w):
-        return w
+        return tuple(w)
     raise RuntimeError("rewriting exceeded its step budget; system is broken")
 
 

@@ -26,7 +26,7 @@ from typing import Iterator
 from . import automaton as automaton_mod
 from . import diagrams, fordham, normal_forms, rates, series
 from .diagrams import LEAF, PTree, TreePair
-from .words import Letter, Word, _check_p, format_word
+from .words import Letter, Word, _check_p
 
 TREE_ENUMERATION_LIMIT = 20_000_000
 BALL_SIZE_LIMIT = 10**6

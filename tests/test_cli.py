@@ -101,10 +101,11 @@ def test_length_with_classes(capsys):
 
 
 def test_length_rejects_negative_word(capsys):
-    code = run(["length", "--p", "2", "x0^-1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "not positive" in err
+    for flags in ([], ["--classes"]):
+        code = run(["length", "--p", "2", *flags, "x0^-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "not positive" in err
 
 
 def test_equal_command(capsys):

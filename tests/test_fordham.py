@@ -139,3 +139,8 @@ def test_weight_table_is_read_live():
 def test_caret_count_consistency():
     t = reduce(evaluate(3, parse_word("x0 x1 x2 x0"))).source
     assert len(classify(3, t).classes) == num_carets(t)
+
+
+def test_tree_weight_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown caret kind"):
+        tree_weight(2, parse_tree(2, "CLL"), "sideways")

@@ -5,7 +5,10 @@ import pytest
 
 from thompson_fp.diagrams import equal, evaluate
 from thompson_fp.normal_forms import (
+    CANCEL,
+    PUSH_POS,
     NotInLanguageError,
+    _rule_at,
     bar,
     finite_nf,
     is_in_Lp,
@@ -15,7 +18,7 @@ from thompson_fp.normal_forms import (
     to_infinite_nf,
     unbar,
 )
-from thompson_fp.words import format_word, free_reduce, parse_word
+from thompson_fp.words import Letter, format_word, free_reduce, parse_word
 
 
 def _random_word(rng, p, length, index_bound=6):
@@ -90,10 +93,51 @@ def test_step_budget_formula():
     assert step_budget(4) == 9
 
 
+def test_step_budget_bounds_the_rewriting(monkeypatch):
+    import thompson_fp.normal_forms as nf_mod
+
+    monkeypatch.setattr(nf_mod, "step_budget", lambda n: 1)
+    assert to_infinite_nf(2, parse_word("x2 x0")) == parse_word("x0 x3")
+    with pytest.raises(RuntimeError, match="step budget"):
+        to_infinite_nf(2, parse_word("x1 x2 x0"))
+
+
 def test_trace_records_rules():
     trace = []
     to_infinite_nf(2, parse_word("x2 x0"), trace)
     assert trace == [{"rule": "push-positive", "position": 0}]
+
+
+def _leftmost_reference(p, word):
+    """Rescan from position 0 after every step; rewrite the first reducible pair."""
+    w, trace = list(word), []
+    while True:
+        for k in range(len(w) - 1):
+            rule = _rule_at(p, w, k)
+            if rule is not None:
+                break
+        else:
+            return tuple(w), trace
+        a, b = w[k], w[k + 1]
+        if rule == CANCEL:
+            w[k:k + 2] = []
+        else:
+            shift = p - 1 if rule == PUSH_POS else 1 - p
+            w[k:k + 2] = [b, Letter(a[0] + shift, a[1])]
+        trace.append({"rule": rule, "position": k})
+
+
+def test_trace_is_the_leftmost_strategy():
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        for positive in (True, False):
+            for _ in range(25):
+                w = tuple(
+                    Letter(rng.randint(0, 3 * p), 1 if positive or rng.random() < 0.5 else -1)
+                    for _ in range(rng.randint(0, 40))
+                )
+                trace = []
+                assert (to_infinite_nf(p, w, trace), trace) == _leftmost_reference(p, w), (p, w)
 
 
 def test_bar_small_indices_fixed():

@@ -10,6 +10,7 @@ from thompson_fp.oracle import (
     bfs_group_ball,
     bfs_positive_monoid,
     enumerate_infinite_nf,
+    enumerate_middle_by_weight,
     enumerate_positive_by_weight,
     is_reduced_positive_tree,
     iter_trees,
@@ -51,6 +52,16 @@ def test_census_matches_series_small():
 
         assert list(census.counts) == positive_growth_series(p, 6).counts()
         assert census.trees_scanned > 0
+
+
+def test_middle_census_matches_solve_Mi():
+    # weighs every tree as a hanging M^i subtree through fordham.tree_weight
+    from thompson_fp.series import series_to_ints, solve_Mi
+
+    for p, w in ((2, 8), (3, 6), (4, 5), (5, 4)):
+        for i in range(1, p):
+            census = enumerate_middle_by_weight(p, i, w)
+            assert list(census) == series_to_ints(solve_Mi(p, i, w + 1)), (p, i)
 
 
 def test_census_counts_are_census_of_distinct_elements():
