@@ -140,38 +140,15 @@ def state_series(p: int, order: int) -> dict[str, PowerSeries]:
     }
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_pow(a: list[int], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
 def phi_series(p: int, order: int) -> PowerSeries:
     """Expansion of Phi_p(t); coefficient n counts |L_p ∩ Σ^n|."""
     _check_p(p)
-    one_minus_t = [1, -1]
-    q = _poly_pow(one_minus_t, p - 1)  # (1-t)^(p-1)
-    numerator = _poly_mul([1, 1], _poly_add([1], [-c for c in _poly_mul([0, 1], q)]))
-    denominator = _poly_mul(
-        one_minus_t, _poly_add(_poly_add(_poly_mul(q, one_minus_t), q), [-1])
-    )
-    return expand_rational(numerator, denominator, order)
+    m = p + 2  # numerator and denominator have degree p + 1, so this is exact
+    t = PowerSeries.x(m)
+    q = (1 - t).int_power(p - 1)  # (1-t)^(p-1)
+    numerator = (1 + t) * (1 - t * q)
+    denominator = (1 - t) * (q * (1 - t) + q - 1)
+    return expand_rational(numerator.coeffs, denominator.coeffs, order)
 
 
 def count_language_bruteforce(p: int, n: int) -> int:

@@ -273,7 +273,7 @@ def _cmd_eval(args) -> int:
         "schema": SCHEMA, "command": "eval", "p": args.p,
         "word": format_word(w), "pair": pair.serialize(),
         "carets": diagrams.num_carets(pair.source),
-        "positive": diagrams.is_positive(pair),
+        "positive": diagrams.is_right_spine(args.p, pair.target),
     })
     return 0
 

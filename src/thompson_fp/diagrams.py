@@ -6,7 +6,9 @@ children; a tree with c carets has c(p-1)+1 leaves.  The generator x_n is the
 pair whose source is the right spine R_k (k = n // (p-1) + 1) with one extra
 caret hanging at leaf n and whose target is R_{k+1}.  Multiplication is by
 least common refinement of the middle trees, followed by reduction: a caret
-exposed at the same leaf range in both trees is removed, repeatedly.
+exposed at the same leaf range in both trees is removed, repeatedly.  Each
+node caches its serialization and its leaf count on first use, so the kernels
+read a subtree's leaf range instead of recounting it.
 
 Serialized text form: preorder, "C" followed by the p children for a caret,
 "L" for a leaf; a pair prints as "source|target".
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce as _fold
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .words import Letter, _check_p
 
@@ -24,11 +26,12 @@ from .words import Letter, _check_p
 class PTree:
     """Immutable p-ary tree; `children` is None for a leaf, else a p-tuple."""
 
-    __slots__ = ("children", "_key")
+    __slots__ = ("children", "_key", "_leaves")
 
     def __init__(self, children: tuple["PTree", ...] | None = None):
         self.children = children
         self._key: str | None = None
+        self._leaves: int | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PTree):
@@ -66,24 +69,20 @@ def serialize_tree(t: PTree) -> str:
 def parse_tree(p: int, text: str) -> PTree:
     """Inverse of serialize_tree for p-ary trees."""
     _check_p(p)
+    chars = enumerate(text)
 
-    def rec(i: int) -> tuple[PTree, int]:
-        if i >= len(text):
-            raise ValueError(f"truncated tree text {text!r}")
-        ch = text[i]
+    def rec() -> PTree:
+        i, ch = next(chars, (len(text), ""))
         if ch == "L":
-            return LEAF, i + 1
+            return LEAF
         if ch == "C":
-            kids = []
-            j = i + 1
-            for _ in range(p):
-                kid, j = rec(j)
-                kids.append(kid)
-            return PTree(tuple(kids)), j
+            return PTree(tuple([rec() for _ in range(p)]))
+        if not ch:
+            raise ValueError(f"truncated tree text {text!r}")
         raise ValueError(f"unexpected character {ch!r} at position {i} in tree text")
 
-    tree, end = rec(0)
-    if end != len(text):
+    tree = rec()
+    if next(chars, None) is not None:
         raise ValueError(f"trailing characters after tree text {text!r}")
     return tree
 
@@ -95,9 +94,11 @@ def num_carets(t: PTree) -> int:
 
 
 def num_leaves(t: PTree) -> int:
-    if t.children is None:
-        return 1
-    return sum(num_leaves(c) for c in t.children)
+    n = t._leaves
+    if n is None:
+        n = 1 if t.children is None else sum(map(num_leaves, t.children))
+        t._leaves = n
+    return n
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,11 @@ def generator_pair(p: int, n: int) -> TreePair:
     if n < 0:
         raise ValueError(f"generator index must be >= 0, got {n}")
     k = n // (p - 1) + 1
-    spine = right_spine(p, k)
-    subs = [LEAF] * (k * (p - 1) + 1)
-    subs[n] = PTree((LEAF,) * p)
-    source, used = _graft(spine, subs, 0)
-    assert used == len(subs)
+    kids = [LEAF] * p
+    kids[n % (p - 1)] = PTree((LEAF,) * p)  # leaf n is a child of spine caret k
+    source = PTree(tuple(kids))
+    for _ in range(k - 1):
+        source = PTree((LEAF,) * (p - 1) + (source,))
     return TreePair(p, source, right_spine(p, k + 1))
 
 
@@ -173,45 +174,42 @@ def _fit(t: PTree, u: PTree, out: list[PTree]) -> None:
         _fit(tc, uc, out)
 
 
-def _graft(t: PTree, subs: list[PTree], i: int) -> tuple[PTree, int]:
-    """Replace leaf j of t with subs[i+j]; returns (tree, next index)."""
+def _graft(t: PTree, subs: Iterator[PTree]) -> PTree:
+    """Replace the leaves of t, left to right, by the trees `subs` yields."""
     if t.children is None:
-        return subs[i], i + 1
-    kids = []
-    for c in t.children:
-        g, i = _graft(c, subs, i)
-        kids.append(g)
-    return PTree(tuple(kids)), i
+        return next(subs)
+    return PTree(tuple([_graft(c, subs) for c in t.children]))
 
 
-def _exposed_starts(t: PTree, start: int, acc: set[int]) -> int:
-    """Collect starting leaf indices of exposed carets; returns leaf count."""
+def _exposed_starts(t: PTree, start: int, acc: set[int]) -> None:
+    """Collect the starting leaf indices of the exposed carets of t."""
     if t.children is None:
-        return 1
-    n = 0
-    exposed = True
+        return
+    exposed, i = True, start
     for c in t.children:
-        if c.children is not None:
+        if c.children is None:
+            i += 1
+        else:
             exposed = False
-        n += _exposed_starts(c, start + n, acc)
+            _exposed_starts(c, i, acc)
+            i += num_leaves(c)
     if exposed:
         acc.add(start)
-    return n
 
 
-def _remove_exposed(t: PTree, target: int, start: int) -> tuple[PTree, int]:
-    """Replace the exposed caret whose leaves begin at `target` by a leaf."""
-    if t.children is None:
-        return t, 1
-    if start == target and all(c.children is None for c in t.children):
-        return LEAF, len(t.children)
-    kids = []
-    n = 0
-    for c in t.children:
-        nc, cnt = _remove_exposed(c, target, start + n)
-        kids.append(nc)
-        n += cnt
-    return PTree(tuple(kids)), n
+def _remove_exposed(t: PTree, target: int) -> PTree:
+    """Replace the exposed caret whose leaves begin at `target` by a leaf,
+    rebuilding only the carets on the path down to it."""
+    if target == 0 and all(c.children is None for c in t.children):
+        return LEAF
+    kids = list(t.children)
+    for k, c in enumerate(kids):
+        n = num_leaves(c)
+        if target < n:
+            kids[k] = _remove_exposed(c, target)
+            return PTree(tuple(kids))
+        target -= n
+    raise ValueError("the target leaf lies beyond the tree")
 
 
 def reduce(d: TreePair) -> TreePair:
@@ -226,8 +224,8 @@ def reduce(d: TreePair) -> TreePair:
         if not common:
             return TreePair(d.p, src, tgt)
         at = min(common)
-        src, _ = _remove_exposed(src, at, 0)
-        tgt, _ = _remove_exposed(tgt, at, 0)
+        src = _remove_exposed(src, at)
+        tgt = _remove_exposed(tgt, at)
 
 
 def compose(a: TreePair, b: TreePair) -> TreePair:
@@ -239,8 +237,8 @@ def compose(a: TreePair, b: TreePair) -> TreePair:
     mid_b: list[PTree] = []
     _fit(a.target, common, mid_a)
     _fit(b.source, common, mid_b)
-    source, _ = _graft(a.source, mid_a, 0)
-    target, _ = _graft(b.target, mid_b, 0)
+    source = _graft(a.source, iter(mid_a))
+    target = _graft(b.target, iter(mid_b))
     return reduce(TreePair(a.p, source, target))
 
 

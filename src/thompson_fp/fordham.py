@@ -27,8 +27,9 @@ transitive successors), otherwise right_empty.  A middle caret is middle_full
 when at least one of its successor children is a caret, otherwise
 middle_empty.  In a reduced positive tree at most one caret is right_empty.
 
-One walk in caret total order gives every caret its final class; `classify`
-numbers its result and `tree_weight` sums `CARET_WEIGHTS` over it.
+One walk in caret total order gives every caret its final class and its
+preorder position; `classify` keys its result by that position and
+`tree_weight` sums `CARET_WEIGHTS` over it.
 """
 
 from __future__ import annotations
@@ -121,15 +122,18 @@ def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[tuple, tuple]:
     return preds, succs
 
 
-def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[PTree, str, int | None]]:
+def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[int, str, int | None]]:
     """Every caret of `tree`, hung as a subtree of base kind `kind`, in caret
-    total order, as (caret, class, middle index or None)."""
-    carets: list[tuple[PTree, str, int | None]] = []
+    total order, as (preorder index, class, middle index or None)."""
+    carets: list[tuple[int, str, int | None]] = []
     rights: list[int] = []  # positions in `carets` of the right carets
     last_middle = -1
+    entered = 0  # visit enters carets in preorder: children go in position order
 
     def visit(t: PTree, kind: str, mid_i: int) -> None:
-        nonlocal last_middle
+        nonlocal last_middle, entered
+        idx = entered
+        entered += 1
         preds, succs = _child_kinds(p, kind, mid_i)
         for pos, ck, ci in preds:
             child = t.children[pos]
@@ -138,12 +142,12 @@ def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[PTree, str, 
         if kind == MIDDLE:
             full = any(t.children[pos].children is not None for pos, _, _ in succs)
             last_middle = len(carets)
-            carets.append((t, MIDDLE_FULL if full else MIDDLE_EMPTY, mid_i))
+            carets.append((idx, MIDDLE_FULL if full else MIDDLE_EMPTY, mid_i))
         elif kind == RIGHT:
             rights.append(len(carets))
-            carets.append((t, RIGHT_EMPTY, None))
+            carets.append((idx, RIGHT_EMPTY, None))
         else:
-            carets.append((t, kind, None))
+            carets.append((idx, kind, None))
         for pos, ck, ci in succs:
             child = t.children[pos]
             if child.children is not None:
@@ -159,22 +163,13 @@ def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[PTree, str, 
 
 
 def classify(p: int, tree: PTree) -> ClassifiedTree:
-    """Classify every caret of a tree read as the source of a positive diagram."""
+    """Classify every caret of a tree read as the source of a positive diagram.
+
+    Carets are numbered by their position in the tree (preorder), so a subtree
+    object that occurs at two places counts as two carets."""
     if tree.children is None:
         raise ValueError("the empty tree has no carets to classify")
-
-    preorder: dict[int, int] = {}
-
-    def number(t: PTree) -> None:
-        if t.children is None:
-            return
-        preorder[id(t)] = len(preorder)
-        for c in t.children:
-            number(c)
-
-    number(tree)
-    carets = _walk(p, tree, ROOT, 0)
-    classes = {preorder[id(t)]: CaretClass(cls, i) for t, cls, i in carets}
+    classes = {idx: CaretClass(cls, i) for idx, cls, i in _walk(p, tree, ROOT, 0)}
     return ClassifiedTree(p, tree, classes, tuple(classes))
 
 

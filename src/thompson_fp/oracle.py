@@ -311,8 +311,8 @@ def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
     ball = bfs_group_ball(p, cfg["radius"])
     mismatches = []
     for key, dist in ball.elements.items():
-        el = ball.representatives[key]
-        if diagrams.is_positive(el):
+        el = ball.representatives[key]  # reduced, as compose returns it
+        if diagrams.is_right_spine(p, el.target):
             if fordham.positive_length(p, el) != dist:
                 mismatches.append(key)
     record(

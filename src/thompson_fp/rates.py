@@ -18,6 +18,7 @@ enclosure [low, high] is mathematically guaranteed to contain the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -205,16 +206,12 @@ def xi_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     )
 
 
-_LN2_CACHE: dict[Fraction, tuple[Fraction, Fraction]] = {}
-
-
+# Bounded: xi_asymptotic asks for one tolerance per (p, precision) pair.
+@lru_cache(maxsize=64)
 def ln2_enclosure(err: Fraction = Fraction(1, 10**30)) -> tuple[Fraction, Fraction]:
     """(value, error bound) with |value - ln 2| <= error, via
     ln 2 = 2 atanh(1/3) = 2 sum_{k>=0} (1/3)^(2k+1) / (2k+1)."""
     err = _check_tol(err)
-    cached = _LN2_CACHE.get(err)
-    if cached is not None:
-        return cached
     total = Fraction(0)
     k = 0
     q = Fraction(1, 3)
@@ -227,9 +224,7 @@ def ln2_enclosure(err: Fraction = Fraction(1, 10**30)) -> tuple[Fraction, Fracti
             break
         term *= q * q
         k += 1
-    value = 2 * total
-    _LN2_CACHE[err] = (value, 2 * tail)
-    return value, 2 * tail
+    return 2 * total, 2 * tail
 
 
 def xi_asymptotic(p: int, precision: Fraction = Fraction(1, 10**12)) -> Fraction:

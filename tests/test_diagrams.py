@@ -22,7 +22,8 @@ from thompson_fp.diagrams import (
     right_spine,
     serialize_tree,
 )
-from thompson_fp.words import parse_word
+from thompson_fp.fordham import classify
+from thompson_fp.words import Letter, parse_word
 
 
 def test_parse_serialize_round_trip():
@@ -118,6 +119,29 @@ def test_evaluate_word_against_stepwise_compose():
                 g = generator_pair(p, letter.index)
                 d = compose(d, g if letter.sign > 0 else invert(g))
             assert equal(d, evaluate(p, w))
+    # Long words: the left-to-right product against a balanced pairwise one.
+    for p in (2, 3, 5):
+        for positive in (True, False):
+            for _ in range(3):
+                w = tuple(
+                    Letter(rng.randrange(3 * p), 1 if positive or rng.random() < 0.5 else -1)
+                    for _ in range(rng.randrange(100, 251))
+                )
+                gens = [generator_pair(p, a.index) for a in w]
+                gens = [g if a.sign > 0 else invert(g) for g, a in zip(gens, w)]
+                d = evaluate(p, w)
+                assert d.serialize() == _balanced_product(gens).serialize()
+                assert is_right_spine(p, d.target) or not positive
+                if is_right_spine(p, d.target) and d.source.children is not None:
+                    classes = classify(p, d.source).classes
+                    assert sorted(classes) == list(range(num_carets(d.source)))
+
+
+def _balanced_product(gens):
+    if len(gens) == 1:
+        return gens[0]
+    mid = len(gens) // 2
+    return compose(_balanced_product(gens[:mid]), _balanced_product(gens[mid:]))
 
 
 def test_is_positive_and_spine():

@@ -1,7 +1,15 @@
 import pytest
 
 from thompson_fp import fordham
-from thompson_fp.diagrams import evaluate, num_carets, parse_tree, reduce
+from thompson_fp.diagrams import (
+    LEAF,
+    caret,
+    evaluate,
+    num_carets,
+    parse_tree,
+    reduce,
+    serialize_tree,
+)
 from thompson_fp.fordham import (
     CARET_WEIGHTS,
     LEFT,
@@ -139,6 +147,19 @@ def test_weight_table_is_read_live():
 def test_caret_count_consistency():
     t = reduce(evaluate(3, parse_word("x0 x1 x2 x0"))).source
     assert len(classify(3, t).classes) == num_carets(t)
+
+
+def test_classify_numbers_carets_by_position():
+    # one subtree object at several places is several carets, as in its copy
+    c = caret((LEAF, LEAF))
+    m = caret((LEAF, LEAF, LEAF))
+    for p, t in ((2, caret((c, c))), (3, caret((m, caret((m, LEAF, m)), m)))):
+        copy = parse_tree(p, serialize_tree(t))
+        ct, cc = classify(p, t), classify(p, copy)
+        assert ct.to_json() == cc.to_json()
+        assert ct.order == cc.order
+        assert len(ct.classes) == num_carets(t)
+        assert ct.total_weight == cc.total_weight == tree_weight(p, t)
 
 
 def test_tree_weight_rejects_unknown_kind():

@@ -86,6 +86,12 @@ def test_ln2_enclosure():
     assert abs(float(val) - math.log(2)) < 1e-11
 
 
+def test_ln2_memo_is_bounded():
+    for p in range(2, 100):
+        xi_asymptotic(p)
+    assert ln2_enclosure.cache_info().currsize <= 64
+
+
 def test_asymptotic_formula():
     # (p - 1/2)/ln2 + 1/2, delivered as a rational within the precision
     approx = xi_asymptotic(50, F(1, 10**9))
