@@ -4,8 +4,11 @@ Everything here recomputes, by exhaustive enumeration or graph search, the
 quantities that the analytic modules produce by formula, so agreement is
 meaningful evidence:
 
-  * enumerate_positive_by_weight: all p-trees up to the caret bound, filtered
-    by reducedness, histogrammed by caret weight -> positive growth counts.
+  * enumerate_positive_by_weight: a depth-first walk down the right spine
+    that builds only the p-trees which can weigh <= W, filtered by
+    reducedness, weighed by the Fordham rules and histogrammed by weight ->
+    positive growth counts.  enumerate_middle_by_weight histograms the same
+    walk's list of hanging middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
     generators x_0^±1 .. x_{p-1}^±1, elements keyed by their serialized
     reduced diagram -> word lengths and sphere sizes.
@@ -17,10 +20,10 @@ meaningful evidence:
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from . import automaton as automaton_mod
@@ -36,31 +39,6 @@ class EnumerationGuardError(RuntimeError):
     pass
 
 
-def _tree_count(p: int, carets: int) -> int:
-    """Number of p-ary trees with the given caret count (Fuss-Catalan)."""
-    return math.comb(p * carets, carets) // ((p - 1) * carets + 1)
-
-
-def iter_trees(p: int, carets: int) -> Iterator[PTree]:
-    """All p-ary trees with exactly `carets` carets."""
-    if carets == 0:
-        yield LEAF
-        return
-    for kids in _iter_child_tuples(p, carets - 1, p):
-        yield PTree(kids)
-
-
-def _iter_child_tuples(p: int, total: int, slots: int) -> Iterator[tuple[PTree, ...]]:
-    if slots == 1:
-        for t in iter_trees(p, total):
-            yield (t,)
-        return
-    for head_count in range(total + 1):
-        for head in iter_trees(p, head_count):
-            for rest in _iter_child_tuples(p, total - head_count, slots - 1):
-                yield (head,) + rest
-
-
 def is_reduced_positive_tree(p: int, tree: PTree) -> bool:
     """Whether (tree, right spine) is a reduced diagram: the deepest caret on
     the rightmost path must keep a caret among its first p-1 children."""
@@ -72,61 +50,127 @@ def is_reduced_positive_tree(p: int, tree: PTree) -> bool:
     return any(c.children is not None for c in node.children[:-1])
 
 
+# A tree over F(p) needs at most p + 2 entries, as in fordham._child_kinds.
+@lru_cache(maxsize=64)
+def _hanging_kinds(p: int, kind: str, i: int) -> tuple[tuple[str, int], ...]:
+    """(kind, middle index) of each child position of a `kind` caret that
+    holds a hanging subtree: every position but a right child's."""
+    preds, succs = fordham._child_kinds(p, kind, i)
+    return tuple((ck, ci) for _, ck, ci in sorted(preds + succs) if ck != fordham.RIGHT)
+
+
+class _Walk:
+    """One census call's depth-first walk over the trees that can weigh at
+    most a budget.  It memoises the hanging subtrees by (kind, middle index,
+    budget) and counts every tree it builds against TREE_ENUMERATION_LIMIT."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.built = 0
+        self._lists: dict[tuple[str, int, int], list[tuple[PTree, int]]] = {}
+
+    def _count(self) -> None:
+        self.built += 1
+        if self.built > TREE_ENUMERATION_LIMIT:
+            raise EnumerationGuardError(
+                f"the census built more than {TREE_ENUMERATION_LIMIT} trees; "
+                f"lower max_weight"
+            )
+
+    def _hanging(self, kind: str, i: int, budget: int) -> list[tuple[PTree, int]]:
+        """Every subtree hung as a `kind` (M^i) child that weighs <= budget,
+        with its weight.  Each of its carets weighs >= 1, so the children of
+        its top caret share budget - 1."""
+        key = (kind, i, budget)
+        found = self._lists.get(key)
+        if found is None:
+            found = [(LEAF, 0)]
+            for kids, _ in self._draw(_hanging_kinds(self.p, kind, i), budget - 1):
+                self._count()
+                tree = PTree(kids)
+                w = fordham.tree_weight(self.p, tree, kind, i)
+                if w <= budget:
+                    found.append((tree, w))
+            self._lists[key] = found
+        return found
+
+    def _draw(
+        self, kinds: tuple[tuple[str, int], ...], budget: int
+    ) -> Iterator[tuple[tuple[PTree, ...], int]]:
+        """Every choice of hanging subtrees of the given kinds whose weights
+        sum to <= budget, with that sum."""
+        if budget < 0:
+            return
+        if not kinds:
+            yield (), 0
+            return
+        (kind, i), rest = kinds[0], kinds[1:]
+        for tree, w in self._hanging(kind, i, budget):
+            for trees, ws in self._draw(rest, budget - w):
+                yield (tree,) + trees, w + ws
+
+    def _spine(self, kind: str, budget: int) -> Iterator[PTree]:
+        """Every tree at a spine position whose caret, if any, is of `kind`
+        (the root, or a right caret), within budget: a leaf, or a caret with
+        hanging subtrees and a spine tree below it.  A right caret below the
+        first costs 2 of the budget."""
+        yield LEAF
+        for kids, w in self._draw(_hanging_kinds(self.p, kind, 0), budget):
+            below = budget - w - (2 if kind == fordham.RIGHT else 0)
+            for tail in self._spine(fordham.RIGHT, below):
+                yield PTree(kids + (tail,))
+
+
 @dataclass(frozen=True)
 class PositiveCensus:
     p: int
     max_weight: int
     counts: tuple[int, ...]  # counts[n] = reduced positive trees of weight n
-    trees_scanned: int
+    trees_scanned: int  # trees the walk built: hanging subtrees and candidates
 
 
 def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     """Count reduced positive diagrams by caret weight, 0..max_weight.
 
-    Any reduced tree of weight <= W has at most W+2 carets (the root and at
-    most one right_empty caret weigh 0; every other caret weighs >= 1), so
-    scanning caret counts 0..W+2 is exhaustive."""
+    Read a tree along its right spine: the root, then the right carets down
+    the last children.  Every other caret lies in a subtree hung at a spine
+    caret: the root's left subtree, or a middle subtree.  The classes in a
+    hanging subtree, and so its weight, depend on the subtree alone; the
+    refinement of right carets reads which middle carets follow them but
+    changes no middle caret.  Each caret of a hanging subtree weighs >= 1.
+    In a reduced tree the deepest spine caret keeps a caret among its first
+    p-1 children, all of them hanging subtrees, so every right caret above
+    it has a middle caret after it and is right_full: at most one caret is
+    right_empty.  A reduced tree of weight <= W with k right carets thus has
+    hanging weights plus 2(k-1) at most W.  The walk prunes exactly when
+    that sum exceeds W, so it reaches every such tree.  Each candidate it
+    builds is tested for reducedness, and each reduced one is weighed whole
+    with the Fordham rules, so the counts take nothing from the series."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    estimate = sum(_tree_count(p, c) for c in range(max_weight + 3))
-    if estimate > TREE_ENUMERATION_LIMIT:
-        raise EnumerationGuardError(
-            f"would enumerate {estimate} trees, beyond the limit "
-            f"{TREE_ENUMERATION_LIMIT}; lower max_weight"
-        )
+    walk = _Walk(p)
     counts = [0] * (max_weight + 1)
-    scanned = 0
-    weigh = fordham.tree_weight
-    reduced = is_reduced_positive_tree
-    for carets in range(max_weight + 3):
-        for tree in iter_trees(p, carets):
-            scanned += 1
-            if reduced(p, tree):
-                w = weigh(p, tree)
-                if w <= max_weight:
-                    counts[w] += 1
-    return PositiveCensus(p, max_weight, tuple(counts), scanned)
+    for tree in walk._spine(fordham.ROOT, max_weight):
+        walk._count()
+        if is_reduced_positive_tree(p, tree):
+            w = fordham.tree_weight(p, tree)
+            if w <= max_weight:
+                counts[w] += 1
+    return PositiveCensus(p, max_weight, tuple(counts), walk.built)
 
 
 def enumerate_middle_by_weight(p: int, i: int, max_weight: int) -> tuple[int, ...]:
-    """Count trees weighed as hanging middle subtrees of kind M^i, by weight.
-    All carets of a middle subtree weigh >= 1, so carets <= W suffices."""
+    """Count trees weighed as hanging middle subtrees of kind M^i, by weight:
+    the histogram of the census walk's list of them."""
     _check_p(p)
     if not 1 <= i <= p - 1:
         raise ValueError(f"middle index must be in 1..{p - 1}, got {i}")
-    estimate = sum(_tree_count(p, c) for c in range(max_weight + 1))
-    if estimate > TREE_ENUMERATION_LIMIT:
-        raise EnumerationGuardError(
-            f"would enumerate {estimate} trees, beyond the limit "
-            f"{TREE_ENUMERATION_LIMIT}; lower max_weight"
-        )
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     counts = [0] * (max_weight + 1)
-    for carets in range(max_weight + 1):
-        for tree in iter_trees(p, carets):
-            w = fordham.tree_weight(p, tree, fordham.MIDDLE, i)
-            if w <= max_weight:
-                counts[w] += 1
+    for _, w in _Walk(p)._hanging(fordham.MIDDLE, i, max_weight):
+        counts[w] += 1
     return tuple(counts)
 
 

@@ -114,9 +114,8 @@ def test_at_most_one_right_empty_on_reduced_trees():
         assert len(empties) <= 1, word
 
 
-def test_tree_weight_matches_classify():
+def test_tree_weight_matches_classify(iter_trees):
     import itertools
-    from thompson_fp.oracle import iter_trees
 
     for p in (2, 3):
         for c in range(1, 5):

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from thompson_fp import fordham
+from thompson_fp import fordham, oracle
+from thompson_fp.cli import run
 from thompson_fp.diagrams import num_carets, num_leaves, parse_tree
 from thompson_fp.oracle import (
     EnumerationGuardError,
@@ -13,21 +15,23 @@ from thompson_fp.oracle import (
     enumerate_middle_by_weight,
     enumerate_positive_by_weight,
     is_reduced_positive_tree,
-    iter_trees,
     verify_suite,
 )
+from thompson_fp.series import positive_growth_series
 
 
-def test_iter_trees_counts_match_fuss_catalan():
-    from math import comb
+def _tree_count(p, carets):
+    """Number of p-ary trees with the given caret count (Fuss-Catalan)."""
+    return comb(p * carets, carets) // ((p - 1) * carets + 1)
 
+
+def test_iter_trees_counts_match_fuss_catalan(iter_trees):
     for p in (2, 3):
         for c in range(6):
-            expected = comb(p * c, c) // ((p - 1) * c + 1)
-            assert sum(1 for _ in iter_trees(p, c)) == expected, (p, c)
+            assert sum(1 for _ in iter_trees(p, c)) == _tree_count(p, c), (p, c)
 
 
-def test_iter_trees_yields_distinct_well_formed_trees():
+def test_iter_trees_yields_distinct_well_formed_trees(iter_trees):
     seen = set()
     for t in iter_trees(3, 3):
         assert num_carets(t) == 3
@@ -48,10 +52,89 @@ def test_reduced_tree_predicate():
 def test_census_matches_series_small():
     for p in (2, 3):
         census = enumerate_positive_by_weight(p, 5)
-        from thompson_fp.series import positive_growth_series
-
         assert list(census.counts) == positive_growth_series(p, 6).counts()
-        assert census.trees_scanned > 0
+        # a tree of weight <= 5 has at most 7 carets; the walk builds fewer
+        # than half of the trees that have that many
+        unpruned = sum(_tree_count(p, c) for c in range(8))
+        assert 0 < census.trees_scanned < unpruned / 2, (p, census.trees_scanned)
+
+
+def test_census_matches_series_to_higher_weights():
+    for p, w in ((2, 14), (3, 8)):
+        census = enumerate_positive_by_weight(p, w)
+        assert list(census.counts) == positive_growth_series(p, w + 1).counts(), p
+
+
+def test_census_prunes_the_fuss_catalan_scan():
+    # the unpruned scan built every tree with up to W + 2 = 14 carets
+    unpruned = sum(_tree_count(2, c) for c in range(15))
+    assert unpruned == 3_707_852
+    census = enumerate_positive_by_weight(2, 12)
+    # every tree it counts is one it built
+    assert sum(census.counts) <= census.trees_scanned < unpruned / 20
+
+
+def _unpruned_census(iter_trees, p, max_weight):
+    counts = [0] * (max_weight + 1)
+    for c in range(max_weight + 3):
+        for t in iter_trees(p, c):
+            if is_reduced_positive_tree(p, t):
+                w = fordham.tree_weight(p, t)
+                if w <= max_weight:
+                    counts[w] += 1
+    return tuple(counts)
+
+
+def _unpruned_middle_census(iter_trees, p, i, max_weight):
+    counts = [0] * (max_weight + 1)
+    for c in range(max_weight + 1):
+        for t in iter_trees(p, c):
+            w = fordham.tree_weight(p, t, fordham.MIDDLE, i)
+            if w <= max_weight:
+                counts[w] += 1
+    return tuple(counts)
+
+
+def test_census_equals_unpruned_scan(iter_trees):
+    # each budget up to the top one, as the walk prunes differently at each
+    for p, top in ((2, 7), (3, 5), (4, 4), (5, 4)):
+        unpruned = _unpruned_census(iter_trees, p, top)
+        middles = [_unpruned_middle_census(iter_trees, p, i, top) for i in range(1, p)]
+        for w in range(top + 1):
+            assert enumerate_positive_by_weight(p, w).counts == unpruned[: w + 1], (p, w)
+            for i in range(1, p):
+                got = enumerate_middle_by_weight(p, i, w)
+                assert got == middles[i - 1][: w + 1], (p, i, w)
+
+
+def test_census_reads_live_weight_table():
+    # the census weighs by the Fordham table, never by the series
+    expected = positive_growth_series(2, 7).counts()
+    original = fordham.CARET_WEIGHTS[fordham.MIDDLE_FULL]
+    try:
+        fordham.CARET_WEIGHTS[fordham.MIDDLE_FULL] = original + 1
+        assert list(enumerate_positive_by_weight(2, 6).counts) != expected
+    finally:
+        fordham.CARET_WEIGHTS[fordham.MIDDLE_FULL] = original
+    assert list(enumerate_positive_by_weight(2, 6).counts) == expected
+
+
+def test_census_guard_counts_trees_built(monkeypatch, capsys):
+    built = enumerate_positive_by_weight(2, 6).trees_scanned
+    monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", built)
+    assert enumerate_positive_by_weight(2, 6).trees_scanned == built
+    monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", built - 1)
+    with pytest.raises(EnumerationGuardError, match=f"more than {built - 1} trees"):
+        enumerate_positive_by_weight(2, 6)
+    with pytest.raises(EnumerationGuardError):
+        enumerate_middle_by_weight(2, 1, 12)
+    capsys.readouterr()
+    assert run(["growth", "positive", "--p", "2", "--n", "7", "--method", "brute"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the census built more than {built - 1} trees; lower max_weight\n"
+    )
 
 
 def test_middle_census_matches_solve_Mi():
