@@ -248,7 +248,7 @@ def _cmd_length(args) -> int:
         "word": format_word(w), "length": n,
     }
     if args.classes:
-        if pair.source.children is None:
+        if pair.source == diagrams.LEAF:
             payload["classes"] = {}
         else:
             payload["classes"] = fordham.classify(args.p, pair.source).to_json()

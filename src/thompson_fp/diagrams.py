@@ -6,99 +6,98 @@ children; a tree with c carets has c(p-1)+1 leaves.  The generator x_n is the
 pair whose source is the right spine R_k (k = n // (p-1) + 1) with one extra
 caret hanging at leaf n and whose target is R_{k+1}.  Multiplication is by
 least common refinement of the middle trees, followed by reduction: a caret
-exposed at the same leaf range in both trees is removed, repeatedly.  Each
-node caches its serialization and its leaf count on first use, so the kernels
-read a subtree's leaf range instead of recounting it.
+exposed at the same leaf range in both trees is removed, repeatedly.
 
-Serialized text form: preorder, "C" followed by the p children for a caret,
-"L" for a leaf; a pair prints as "source|target".
+A tree is its preorder string: "C" followed by the p children for a caret,
+"L" for a leaf; a pair prints as "source|target".  Every kernel reads and
+builds these strings with str methods and explicit loops, so no tree is too
+deep to handle: a subtree is a slice, the k-th leaf is the k-th "L", and an
+exposed caret is an occurrence of "C" followed by p "L".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce as _fold
-from typing import Iterable, Iterator
+from itertools import accumulate, repeat
+from operator import add
+from typing import Iterable
 
 from .words import Letter, _check_p
 
 
-class PTree:
-    """Immutable p-ary tree; `children` is None for a leaf, else a p-tuple."""
+class PTree(str):
+    """A p-ary tree as its preorder string.  `children` is None for a leaf,
+    else the p child trees, cut from the string on each read."""
 
-    __slots__ = ("children", "_key", "_leaves")
+    __slots__ = ()
 
-    def __init__(self, children: tuple["PTree", ...] | None = None):
-        self.children = children
-        self._key: str | None = None
-        self._leaves: int | None = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PTree):
-            return NotImplemented
-        return serialize_tree(self) == serialize_tree(other)
-
-    def __hash__(self) -> int:
-        return hash(serialize_tree(self))
+    @property
+    def children(self) -> tuple["PTree", ...] | None:
+        if self == "L":
+            return None
+        p = (len(self) - 1) // self.count("C")
+        kids, i = [], 1
+        for _ in range(p):
+            end = _subtree_end(self, i, p)
+            kids.append(PTree(self[i:end]))
+            i = end
+        return tuple(kids)
 
     def __repr__(self) -> str:
-        return f"PTree({serialize_tree(self)!r})"
+        return f"PTree({str(self)!r})"
 
 
-LEAF = PTree()
+LEAF = PTree("L")
 
 
-def caret(children: Iterable[PTree]) -> PTree:
+def _subtree_end(t: str, i: int, p: int) -> int:
+    """End of the subtree of t that starts at t[i].  While `need` subtrees
+    are open, the next `need` characters all lie in them, and their c carets
+    leave c*p subtrees open; one str.count reads each such run."""
+    need = 1
+    while need:
+        c = t.count("C", i, i + need)
+        i += need
+        need = c * p
+    return i
+
+
+def caret(children: Iterable[str]) -> PTree:
     kids = tuple(children)
     if len(kids) < 2:
         raise ValueError("a caret needs at least 2 children")
-    return PTree(kids)
+    return PTree("C" + "".join(kids))
 
 
 def serialize_tree(t: PTree) -> str:
-    key = t._key
-    if key is None:
-        if t.children is None:
-            key = "L"
-        else:
-            key = "C" + "".join(serialize_tree(c) for c in t.children)
-        t._key = key
-    return key
+    return str(t)
 
 
 def parse_tree(p: int, text: str) -> PTree:
     """Inverse of serialize_tree for p-ary trees."""
     _check_p(p)
-    chars = enumerate(text)
-
-    def rec() -> PTree:
-        i, ch = next(chars, (len(text), ""))
+    need = 1  # subtrees still to read
+    for i, ch in enumerate(text):
+        if not need:
+            raise ValueError(f"trailing characters after tree text {text!r}")
         if ch == "L":
-            return LEAF
-        if ch == "C":
-            return PTree(tuple([rec() for _ in range(p)]))
-        if not ch:
-            raise ValueError(f"truncated tree text {text!r}")
-        raise ValueError(f"unexpected character {ch!r} at position {i} in tree text")
-
-    tree = rec()
-    if next(chars, None) is not None:
-        raise ValueError(f"trailing characters after tree text {text!r}")
-    return tree
+            need -= 1
+        elif ch == "C":
+            need += p - 1
+        else:
+            raise ValueError(f"unexpected character {ch!r} at position {i} in tree text")
+    if need:
+        raise ValueError(f"truncated tree text {text!r}")
+    return PTree(text)
 
 
 def num_carets(t: PTree) -> int:
-    if t.children is None:
-        return 0
-    return 1 + sum(num_carets(c) for c in t.children)
+    return t.count("C")
 
 
 def num_leaves(t: PTree) -> int:
-    n = t._leaves
-    if n is None:
-        n = 1 if t.children is None else sum(map(num_leaves, t.children))
-        t._leaves = n
-    return n
+    return t.count("L")
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class TreePair:
             raise ValueError(f"source has {ns} leaves but target has {nt}")
 
     def serialize(self) -> str:
-        return f"{serialize_tree(self.source)}|{serialize_tree(self.target)}"
+        return f"{self.source}|{self.target}"
 
     def __str__(self) -> str:
         return self.serialize()
@@ -131,10 +130,7 @@ def right_spine(p: int, k: int) -> PTree:
     _check_p(p)
     if k < 0:
         raise ValueError(f"caret count must be >= 0, got {k}")
-    t = LEAF
-    for _ in range(k):
-        t = PTree((LEAF,) * (p - 1) + (t,))
-    return t
+    return PTree(("C" + "L" * (p - 1)) * k + "L")
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +140,9 @@ def generator_pair(p: int, n: int) -> TreePair:
     if n < 0:
         raise ValueError(f"generator index must be >= 0, got {n}")
     k = n // (p - 1) + 1
-    kids = [LEAF] * p
-    kids[n % (p - 1)] = PTree((LEAF,) * p)  # leaf n is a child of spine caret k
-    source = PTree(tuple(kids))
-    for _ in range(k - 1):
-        source = PTree((LEAF,) * (p - 1) + (source,))
+    r = n % (p - 1)  # leaf n is child r of spine caret k
+    spine = ("C" + "L" * (p - 1)) * (k - 1)
+    source = PTree(f"{spine}C{'L' * r}C{'L' * p}{'L' * (p - 1 - r)}")
     return TreePair(p, source, right_spine(p, k + 1))
 
 
@@ -156,90 +150,76 @@ def invert(d: TreePair) -> TreePair:
     return TreePair(d.p, d.target, d.source)
 
 
-def _refine(a: PTree, b: PTree) -> PTree:
-    """Least common refinement: smallest tree extending both a and b."""
-    if a.children is None:
-        return b
-    if b.children is None:
-        return a
-    return PTree(tuple(_refine(x, y) for x, y in zip(a.children, b.children)))
-
-
-def _fit(t: PTree, u: PTree, out: list[PTree]) -> None:
-    """Append, per leaf of t, the subtree of the refinement u hanging there."""
-    if t.children is None:
-        out.append(u)
-        return
-    for tc, uc in zip(t.children, u.children):
-        _fit(tc, uc, out)
-
-
-def _graft(t: PTree, subs: Iterator[PTree]) -> PTree:
-    """Replace the leaves of t, left to right, by the trees `subs` yields."""
-    if t.children is None:
-        return next(subs)
-    return PTree(tuple([_graft(c, subs) for c in t.children]))
-
-
-def _exposed_starts(t: PTree, start: int, acc: set[int]) -> None:
-    """Collect the starting leaf indices of the exposed carets of t."""
-    if t.children is None:
-        return
-    exposed, i = True, start
-    for c in t.children:
-        if c.children is None:
-            i += 1
-        else:
-            exposed = False
-            _exposed_starts(c, i, acc)
-            i += num_leaves(c)
-    if exposed:
-        acc.add(start)
-
-
-def _remove_exposed(t: PTree, target: int) -> PTree:
-    """Replace the exposed caret whose leaves begin at `target` by a leaf,
-    rebuilding only the carets on the path down to it."""
-    if target == 0 and all(c.children is None for c in t.children):
-        return LEAF
-    kids = list(t.children)
-    for k, c in enumerate(kids):
-        n = num_leaves(c)
-        if target < n:
-            kids[k] = _remove_exposed(c, target)
-            return PTree(tuple(kids))
-        target -= n
-    raise ValueError("the target leaf lies beyond the tree")
+def _interleave(parts: list[str], seps: Iterable[str]) -> str:
+    """parts[0] + seps[0] + parts[1] + ... + parts[-1]."""
+    out = [""] * (2 * len(parts) - 1)
+    out[::2] = parts
+    out[1::2] = seps
+    return "".join(out)
 
 
 def reduce(d: TreePair) -> TreePair:
-    """Remove carets exposed at the same leaf range in both trees."""
-    src, tgt = d.source, d.target
+    """Remove carets exposed at the same leaf range in both trees.  Each
+    round cuts both trees at their exposed carets, keys every cut by the
+    number of leaves up to its end, and collapses the cuts the trees share;
+    the counting runs in str methods and map, not in a Python loop."""
+    p, exposed = d.p, "C" + "L" * d.p
+    trees = [d.source, d.target]
     while True:
-        s_starts: set[int] = set()
-        t_starts: set[int] = set()
-        _exposed_starts(src, 0, s_starts)
-        _exposed_starts(tgt, 0, t_starts)
-        common = s_starts & t_starts
+        cuts = [t.split(exposed) for t in trees]
+        # The leaves up to the end of each exposed caret: those of the pieces
+        # before it, and p for it and for each exposed caret before it.
+        ends = [
+            list(accumulate(map(add, map(str.count, pieces[:-1], repeat("L")), repeat(p))))
+            for pieces in cuts
+        ]
+        common = set(ends[0]).intersection(ends[1])
         if not common:
-            return TreePair(d.p, src, tgt)
-        at = min(common)
-        src = _remove_exposed(src, at)
-        tgt = _remove_exposed(tgt, at)
+            return TreePair(p, PTree(trees[0]), PTree(trees[1]))
+        trees = [
+            _interleave(pieces, ["L" if e in common else exposed for e in at])
+            for pieces, at in zip(cuts, ends)
+        ]
 
 
 def compose(a: TreePair, b: TreePair) -> TreePair:
-    """The product a*b (a applied first), as a reduced diagram."""
+    """The product a*b (a applied first), as a reduced diagram.
+
+    One walk over a.target and b.source together lists the piece of their
+    least common refinement that hangs at each leaf of either: where one
+    tree has a leaf, the other's whole subtree there; where both have one,
+    a leaf.  Those pieces replace the leaves of a.source and b.target."""
     if a.p != b.p:
         raise ValueError(f"mismatched p: {a.p} != {b.p}")
-    common = _refine(a.target, b.source)
-    mid_a: list[PTree] = []
-    mid_b: list[PTree] = []
-    _fit(a.target, common, mid_a)
-    _fit(b.source, common, mid_b)
-    source = _graft(a.source, iter(mid_a))
-    target = _graft(b.target, iter(mid_b))
-    return reduce(TreePair(a.p, source, target))
+    p, s, t = a.p, a.target, b.source
+    ns, nt = len(s), len(t)
+    mid_a: list[str] = []  # per leaf of a.target
+    mid_b: list[str] = []  # per leaf of b.source
+    i = j = 0
+    while i < ns:
+        x, y = s[i], t[j]
+        if x == y:
+            if x == "L":
+                mid_a.append("L")
+                mid_b.append("L")
+            i += 1
+            j += 1
+        elif x == "L":
+            # The subtree hanging at either tree's last leaf runs to its end.
+            end = nt if i + 1 == ns else _subtree_end(t, j, p)
+            piece = t[j:end]
+            mid_a.append(piece)
+            mid_b += ["L"] * piece.count("L")
+            i, j = i + 1, end
+        else:
+            end = ns if j + 1 == nt else _subtree_end(s, i, p)
+            piece = s[i:end]
+            mid_b.append(piece)
+            mid_a += ["L"] * piece.count("L")
+            i, j = end, j + 1
+    source = _interleave(a.source.split("L"), mid_a)
+    target = _interleave(b.target.split("L"), mid_b)
+    return reduce(TreePair(p, source, target))
 
 
 def evaluate(p: int, word: Iterable[Letter]) -> TreePair:
@@ -260,11 +240,7 @@ def equal(a: TreePair, b: TreePair) -> bool:
 
 
 def is_right_spine(p: int, t: PTree) -> bool:
-    while t.children is not None:
-        if len(t.children) != p or any(c.children is not None for c in t.children[:-1]):
-            return False
-        t = t.children[-1]
-    return True
+    return t == right_spine(p, t.count("C"))
 
 
 def is_positive(d: TreePair) -> bool:

@@ -27,9 +27,13 @@ transitive successors), otherwise right_empty.  A middle caret is middle_full
 when at least one of its successor children is a caret, otherwise
 middle_empty.  In a reduced positive tree at most one caret is right_empty.
 
-One walk in caret total order gives every caret its final class and its
-preorder position; `classify` keys its result by that position and
-`tree_weight` sums `CARET_WEIGHTS` over it.
+One left-to-right pass over the tree's preorder string, with a stack of
+(child kind table, next child position) per open caret, gives every caret
+its final class: a middle caret turns full when a successor child starts
+with "C", and a right caret, which lies on the rightmost path, is full when
+a middle caret starts after its child 1.  `tree_weight` sums `CARET_WEIGHTS`
+over the pass; `classify` keys the classes by preorder position and lists
+them in caret total order with an explicit stack.
 """
 
 from __future__ import annotations
@@ -101,76 +105,91 @@ class ClassifiedTree:
 # A tree over F(p) needs at most p + 2 entries; the bound keeps the memo from
 # growing with every p a long process weighs.
 @lru_cache(maxsize=64)
-def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[tuple, tuple]:
-    """(predecessor, successor) tuples of (child position, kind, middle index)."""
+def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """(number of predecessor children, (kind, middle index) per child position)."""
     if kind == ROOT:
-        return (
-            ((0, LEFT, 0),),
-            tuple((c, MIDDLE, c) for c in range(1, p - 1)) + ((p - 1, RIGHT, 0),),
-        )
+        return 1, ((LEFT, 0),) + tuple((MIDDLE, c) for c in range(1, p - 1)) + ((RIGHT, 0),)
     if kind == LEFT:
-        return ((0, LEFT, 0),), tuple((c, MIDDLE, c) for c in range(1, p))
+        return 1, ((LEFT, 0),) + tuple((MIDDLE, c) for c in range(1, p))
     if kind == RIGHT:
-        return (
-            ((0, MIDDLE, p - 1),),
-            tuple((c, MIDDLE, c) for c in range(1, p - 1)) + ((p - 1, RIGHT, 0),),
+        return 1, ((MIDDLE, p - 1),) + tuple((MIDDLE, c) for c in range(1, p - 1)) + (
+            (RIGHT, 0),
         )
     if kind != MIDDLE:
         raise ValueError(f"unknown caret kind {kind!r}")
-    preds = tuple((c, MIDDLE, mid_i + c) for c in range(p - mid_i))
-    succs = tuple((p - mid_i + k, MIDDLE, k + 1) for k in range(mid_i))
-    return preds, succs
+    return p - mid_i, tuple((MIDDLE, mid_i + c) for c in range(p - mid_i)) + tuple(
+        (MIDDLE, k + 1) for k in range(mid_i)
+    )
 
 
-def _walk(p: int, tree: PTree, kind: str, mid_i: int) -> list[tuple[int, str, int | None]]:
-    """Every caret of `tree`, hung as a subtree of base kind `kind`, in caret
-    total order, as (preorder index, class, middle index or None)."""
-    carets: list[tuple[int, str, int | None]] = []
-    rights: list[int] = []  # positions in `carets` of the right carets
+def _pass(
+    p: int, tree: str, kind: str, mid_i: int
+) -> tuple[list[str], list[tuple[int, bool, int | None]]]:
+    """Every caret of `tree`, hung as a subtree of base kind `kind`, in
+    preorder: its final class, and (parent, whether it is a predecessor
+    child, middle index or None).  The top caret's parent is -1."""
+    classes: list[str] = []
+    links: list[tuple[int, bool, int | None]] = []
+    rights: list[tuple[int, int]] = []  # (right caret, carets before its child 1)
     last_middle = -1
-    entered = 0  # visit enters carets in preorder: children go in position order
-
-    def visit(t: PTree, kind: str, mid_i: int) -> None:
-        nonlocal last_middle, entered
-        idx = entered
-        entered += 1
-        preds, succs = _child_kinds(p, kind, mid_i)
-        for pos, ck, ci in preds:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-        if kind == MIDDLE:
-            full = any(t.children[pos].children is not None for pos, _, _ in succs)
-            last_middle = len(carets)
-            carets.append((idx, MIDDLE_FULL if full else MIDDLE_EMPTY, mid_i))
-        elif kind == RIGHT:
-            rights.append(len(carets))
-            carets.append((idx, RIGHT_EMPTY, None))
+    # Per open caret: [predecessor count, child kinds, caret, its kind, next
+    # position]; the tree is the last child of a parent that is no caret.
+    last = p - 1
+    stack: list[list] = [[p, ((kind, mid_i),) * p, -1, None, last]]
+    for ch in tree:
+        top = stack[-1]
+        npred, kinds, parent, pkind, pos = top
+        if pos == last:
+            stack.pop()
         else:
-            carets.append((idx, kind, None))
-        for pos, ck, ci in succs:
-            child = t.children[pos]
-            if child.children is not None:
-                visit(child, ck, ci)
-
-    if tree.children is not None:
-        visit(tree, kind, mid_i)
-    # A right caret with a middle caret after it in the total order is full.
-    for k in rights:
-        if k < last_middle:
-            carets[k] = (carets[k][0], RIGHT_FULL, None)
-    return carets
+            top[4] = pos + 1
+        if pkind == RIGHT and pos == 1:
+            rights.append((parent, len(classes)))
+        if ch != "C":
+            continue
+        if pkind == MIDDLE and pos >= npred:
+            classes[parent] = MIDDLE_FULL  # a successor child is a caret
+        ck, ci = kinds[pos]
+        idx = len(classes)
+        if ck == MIDDLE:
+            classes.append(MIDDLE_EMPTY)
+            last_middle = idx
+        else:
+            classes.append(RIGHT_EMPTY if ck == RIGHT else ck)
+        links.append((parent, pos < npred, ci if ck == MIDDLE else None))
+        stack.append([*_child_kinds(p, ck, ci), idx, ck, 0])
+    # A right caret lies on the rightmost path, so the carets after it in the
+    # total order are those from its child 1 on: it is full if one is middle.
+    for idx, mark in rights:
+        if mark <= last_middle:
+            classes[idx] = RIGHT_FULL
+    return classes, links
 
 
 def classify(p: int, tree: PTree) -> ClassifiedTree:
     """Classify every caret of a tree read as the source of a positive diagram.
 
-    Carets are numbered by their position in the tree (preorder), so a subtree
-    object that occurs at two places counts as two carets."""
-    if tree.children is None:
+    Carets are numbered by their position in the tree (preorder)."""
+    if tree == "L":
         raise ValueError("the empty tree has no carets to classify")
-    classes = {idx: CaretClass(cls, i) for idx, cls, i in _walk(p, tree, ROOT, 0)}
-    return ClassifiedTree(p, tree, classes, tuple(classes))
+    classes, links = _pass(p, tree, ROOT, 0)
+    preds: list[list[int]] = [[] for _ in classes]
+    succs: list[list[int]] = [[] for _ in classes]
+    for idx, (parent, before, _) in enumerate(links[1:], 1):
+        (preds if before else succs)[parent].append(idx)
+    # Caret total order: predecessor subtrees, the caret, successor subtrees.
+    order: list[int] = []
+    stack = [0]  # a caret to expand, or ~caret to emit
+    while stack:
+        idx = stack.pop()
+        if idx < 0:
+            order.append(~idx)
+            continue
+        stack += reversed(succs[idx])
+        stack.append(~idx)
+        stack += reversed(preds[idx])
+    by_order = {idx: CaretClass(classes[idx], links[idx][2]) for idx in order}
+    return ClassifiedTree(p, tree, by_order, tuple(order))
 
 
 def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 0) -> int:
@@ -180,7 +199,7 @@ def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 
     (e.g. a middle subtree of kind M^i); the default weighs a source tree.
     """
     w = CARET_WEIGHTS
-    return sum(w[cls] for _, cls, _ in _walk(p, tree, root_kind, middle_index))
+    return sum(w[cls] for cls in _pass(p, tree, root_kind, middle_index)[0])
 
 
 def positive_length(p: int, element: Union[TreePair, tuple, list]) -> int:
@@ -199,6 +218,4 @@ def positive_length(p: int, element: Union[TreePair, tuple, list]) -> int:
         raise NotPositiveError(
             "Fordham positive method inapplicable: element is not positive"
         )
-    if pair.source.children is None:
-        return 0
     return tree_weight(p, pair.source)

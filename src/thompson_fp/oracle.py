@@ -5,9 +5,10 @@ quantities that the analytic modules produce by formula, so agreement is
 meaningful evidence:
 
   * enumerate_positive_by_weight: a depth-first walk down the right spine
-    that builds only the p-trees which can weigh <= W, filtered by
-    reducedness, weighed by the Fordham rules and histogrammed by weight ->
-    positive growth counts.  enumerate_middle_by_weight histograms the same
+    that builds, as preorder strings, only the p-trees which can weigh <= W
+    and whose spine ends at a hanging caret, filtered by reducedness,
+    weighed by the Fordham rules and histogrammed by weight -> positive
+    growth counts.  enumerate_middle_by_weight histograms the same
     walk's list of hanging middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
     generators x_0^±1 .. x_{p-1}^±1, elements keyed by their serialized
@@ -41,13 +42,9 @@ class EnumerationGuardError(RuntimeError):
 
 def is_reduced_positive_tree(p: int, tree: PTree) -> bool:
     """Whether (tree, right spine) is a reduced diagram: the deepest caret on
-    the rightmost path must keep a caret among its first p-1 children."""
-    if tree.children is None:
-        return True
-    node = tree
-    while node.children[-1].children is not None:
-        node = node.children[-1]
-    return any(c.children is not None for c in node.children[:-1])
+    the rightmost path, whose subtree ends the preorder string, must keep a
+    caret among its first p-1 children."""
+    return tree == "L" or not tree.endswith("C" + "L" * p)
 
 
 # A tree over F(p) needs at most p + 2 entries, as in fordham._child_kinds.
@@ -55,14 +52,16 @@ def is_reduced_positive_tree(p: int, tree: PTree) -> bool:
 def _hanging_kinds(p: int, kind: str, i: int) -> tuple[tuple[str, int], ...]:
     """(kind, middle index) of each child position of a `kind` caret that
     holds a hanging subtree: every position but a right child's."""
-    preds, succs = fordham._child_kinds(p, kind, i)
-    return tuple((ck, ci) for _, ck, ci in sorted(preds + succs) if ck != fordham.RIGHT)
+    return tuple(k for k in fordham._child_kinds(p, kind, i)[1] if k[0] != fordham.RIGHT)
 
 
 class _Walk:
     """One census call's depth-first walk over the trees that can weigh at
-    most a budget.  It memoises the hanging subtrees by (kind, middle index,
-    budget) and counts every tree it builds against TREE_ENUMERATION_LIMIT."""
+    most a budget, built as preorder strings.  It memoises the hanging
+    subtrees by (kind, middle index, budget) and counts every tree it builds
+    against TREE_ENUMERATION_LIMIT.  `_hanging` and `_draw` recurse on the
+    budget, which each level lowers by one, and on the p child kinds, never
+    on the depth of a tree; the spine is walked with an explicit stack."""
 
     def __init__(self, p: int):
         self.p = p
@@ -87,38 +86,41 @@ class _Walk:
             found = [(LEAF, 0)]
             for kids, _ in self._draw(_hanging_kinds(self.p, kind, i), budget - 1):
                 self._count()
-                tree = PTree(kids)
+                tree = PTree("C" + kids)
                 w = fordham.tree_weight(self.p, tree, kind, i)
                 if w <= budget:
                     found.append((tree, w))
             self._lists[key] = found
         return found
 
-    def _draw(
-        self, kinds: tuple[tuple[str, int], ...], budget: int
-    ) -> Iterator[tuple[tuple[PTree, ...], int]]:
+    def _draw(self, kinds: tuple[tuple[str, int], ...], budget: int) -> Iterator[tuple[str, int]]:
         """Every choice of hanging subtrees of the given kinds whose weights
-        sum to <= budget, with that sum."""
+        sum to <= budget, as their preorder strings joined, with that sum."""
         if budget < 0:
             return
         if not kinds:
-            yield (), 0
+            yield "", 0
             return
         (kind, i), rest = kinds[0], kinds[1:]
         for tree, w in self._hanging(kind, i, budget):
             for trees, ws in self._draw(rest, budget - w):
-                yield (tree,) + trees, w + ws
+                yield tree + trees, w + ws
 
-    def _spine(self, kind: str, budget: int) -> Iterator[PTree]:
-        """Every tree at a spine position whose caret, if any, is of `kind`
-        (the root, or a right caret), within budget: a leaf, or a caret with
-        hanging subtrees and a spine tree below it.  A right caret below the
-        first costs 2 of the budget."""
-        yield LEAF
-        for kids, w in self._draw(_hanging_kinds(self.p, kind, 0), budget):
-            below = budget - w - (2 if kind == fordham.RIGHT else 0)
-            for tail in self._spine(fordham.RIGHT, below):
-                yield PTree(kids + (tail,))
+    def _candidates(self, budget: int) -> Iterator[PTree]:
+        """Every tree with a caret whose hanging weights, plus 2 per right
+        caret below the first, are at most budget, and whose deepest spine
+        caret has hanging weight > 0.  Each stack entry is a spine caret
+        still to fill: the preorder string above it, its kind (the root, or
+        a right caret) and the budget left for it and the spine below."""
+        stack = [("", fordham.ROOT, budget)]
+        while stack:
+            above, kind, budget = stack.pop()
+            for kids, w in self._draw(_hanging_kinds(self.p, kind, 0), budget):
+                top = above + "C" + kids  # its last child, the spine below, follows
+                if w:
+                    yield PTree(top + "L")
+                below = budget - w - (2 if kind == fordham.RIGHT else 0)
+                stack.append((top, fordham.RIGHT, below))
 
 
 @dataclass(frozen=True)
@@ -143,15 +145,19 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     it has a middle caret after it and is right_full: at most one caret is
     right_empty.  A reduced tree of weight <= W with k right carets thus has
     hanging weights plus 2(k-1) at most W.  The walk prunes exactly when
-    that sum exceeds W, so it reaches every such tree.  Each candidate it
-    builds is tested for reducedness, and each reduced one is weighed whole
+    that sum exceeds W, so it reaches every such tree.  It also ends the
+    spine only at a caret with hanging weight > 0, which skips only
+    non-reduced trees: a tree with a caret is reduced exactly when its
+    deepest spine caret keeps a hanging caret, and each hanging caret
+    weighs >= 1.  The leaf is the one other candidate.  Each candidate is
+    still tested for reducedness, and each reduced one is weighed whole
     with the Fordham rules, so the counts take nothing from the series."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     walk = _Walk(p)
     counts = [0] * (max_weight + 1)
-    for tree in walk._spine(fordham.ROOT, max_weight):
+    for tree in itertools.chain((LEAF,), walk._candidates(max_weight)):
         walk._count()
         if is_reduced_positive_tree(p, tree):
             w = fordham.tree_weight(p, tree)

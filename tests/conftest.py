@@ -16,7 +16,7 @@ def _iter_trees(p: int, carets: int) -> Iterator[PTree]:
         yield LEAF
         return
     for kids in _iter_child_tuples(p, carets - 1, p):
-        yield PTree(kids)
+        yield PTree("C" + "".join(kids))
 
 
 def _iter_child_tuples(p: int, total: int, slots: int) -> Iterator[tuple[PTree, ...]]:

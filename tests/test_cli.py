@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -106,6 +107,23 @@ def test_length_rejects_negative_word(capsys):
         err = capsys.readouterr().err
         assert code == 1
         assert "not positive" in err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_length_of_long_generator_powers(p, capsys):
+    # x0^n is a geodesic; its source tree is n + 1 carets deep
+    for n in (1, 2, 300, 2000):
+        code, payload = _run_json(capsys, ["length", "--p", str(p), " ".join(["x0"] * n)])
+        assert code == 0
+        assert payload["length"] == n
+
+
+def test_eval_long_word(capsys):
+    rng = random.Random(1600)
+    word = " ".join(f"x{rng.randrange(9)}" for _ in range(1600))
+    code, payload = _run_json(capsys, ["eval", "--p", "3", word])
+    assert code == 0
+    assert payload["positive"] is True
 
 
 def test_equal_command(capsys):

@@ -1,10 +1,13 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
 from thompson_fp.diagrams import (
     LEAF,
+    PTree,
     TreePair,
     caret,
     compose,
@@ -22,7 +25,7 @@ from thompson_fp.diagrams import (
     right_spine,
     serialize_tree,
 )
-from thompson_fp.fordham import classify
+from thompson_fp.fordham import classify, tree_weight
 from thompson_fp.words import Letter, parse_word
 
 
@@ -35,12 +38,28 @@ def test_parse_serialize_round_trip():
 
 
 def test_parse_tree_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("truncated tree text 'CL'")):
         parse_tree(2, "CL")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("trailing characters after tree text 'CLLL'")):
         parse_tree(2, "CLLL")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unexpected character 'X' at position 0 in tree text"):
         parse_tree(2, "X")
+
+
+def test_tree_api_children_and_round_trip(iter_trees):
+    # the benchmark reads `children` and round-trips trees through text
+    assert LEAF.children is None
+    for p, top in ((2, 7), (3, 5)):
+        for c in range(top + 1):
+            for t in iter_trees(p, c):
+                assert isinstance(t, PTree)
+                assert parse_tree(p, serialize_tree(t)) == t
+                if c == 0:
+                    assert t.children is None
+                    continue
+                kids = t.children
+                assert len(kids) == p and all(isinstance(k, PTree) for k in kids)
+                assert caret(kids) == t
 
 
 def test_leaf_count_formula():
@@ -142,6 +161,30 @@ def _balanced_product(gens):
         return gens[0]
     mid = len(gens) // 2
     return compose(_balanced_product(gens[:mid]), _balanced_product(gens[mid:]))
+
+
+def test_long_positive_words_against_balanced_product():
+    # trees thousands of carets deep, which recursive kernels overflowed on
+    rng = random.Random(2000)
+    for _ in range(2):
+        w = tuple(Letter(rng.randrange(9), 1) for _ in range(2000))
+        d = evaluate(3, w)
+        assert d == _balanced_product([generator_pair(3, a.index) for a in w])
+        assert is_right_spine(3, d.target)
+
+
+def test_deep_tree_kernels_do_not_recurse():
+    # x0^2000 has a source tree 2001 carets deep
+    word = (Letter(0, 1),) * 2000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        d = evaluate(2, word)
+        assert d.source == "C" * 2001 + "L" * 2002
+        assert tree_weight(2, d.source) == 2000
+        assert classify(2, d.source).total_weight == 2000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_is_positive_and_spine():

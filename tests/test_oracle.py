@@ -72,6 +72,18 @@ def test_census_prunes_the_fuss_catalan_scan():
     census = enumerate_positive_by_weight(2, 12)
     # every tree it counts is one it built
     assert sum(census.counts) <= census.trees_scanned < unpruned / 20
+    # of 54 321 trees within the bound, the walk skips 13 620 non-reduced tails
+    assert census.trees_scanned == 54_321 - 13_620
+
+
+def test_census_candidates_are_all_reduced():
+    # the walk ends the spine only at a caret that keeps a hanging caret
+    for p, top in ((2, 10), (3, 6)):
+        for w in range(top + 1):
+            walk = oracle._Walk(p)
+            candidates = list(walk._candidates(w))
+            assert candidates or w == 0, (p, w)
+            assert all(is_reduced_positive_tree(p, t) for t in candidates), (p, w)
 
 
 def _unpruned_census(iter_trees, p, max_weight):
