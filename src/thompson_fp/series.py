@@ -1,8 +1,9 @@
 """Exact truncated power series and the positive growth series of F(p).
 
-PowerSeries coefficients are Fractions; no floating point enters this
-module.  A PowerSeries of order N carries coefficients 0..N-1; binary
-operations truncate to the smaller order.
+PowerSeries coefficients are ints: every series here counts something, and
+every series divided by has constant term 1, so no rational or floating
+point number enters this module.  A PowerSeries of order N carries
+coefficients 0..N-1; binary operations truncate to the smaller order.
 
 The positive growth series S(x) = sum s_n x^n (s_n = number of positive
 elements of word length n) factors as S = L M_1 ... M_{p-2} R over the
@@ -29,41 +30,47 @@ The series is solved once, in integers, from that equation: rearranged to
 (1 + x - x^3) N = 1 + x N^p it is a triangular recurrence for the
 coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
 read from N^i, then M = P_{p-1} and M_i = P_i / P_{i-1}; L, R and S follow
-in Fraction arithmetic, with S reached two ways as a cross-check.
+by integer products and reciprocals, with S reached two ways as a
+cross-check.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .words import _check_p
 
-Scalar = Union[int, Fraction]
+
+def _whole(c) -> int:
+    if isinstance(c, numbers.Rational) and c.denominator == 1:
+        return int(c.numerator)
+    raise ArithmeticError(f"non-integer coefficient {c} in counting series")
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar], order: int | None = None) -> "PowerSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            if order < len(cs):
-                cs = cs[:order]
-            else:
-                cs.extend([Fraction(0)] * (order - len(cs)))
-        return cls(tuple(cs))
+    def from_coeffs(
+        cls, coeffs: Sequence[numbers.Rational], order: int | None = None
+    ) -> "PowerSeries":
+        """The series with these coefficients, cut or zero-padded to order.
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls((Fraction(0),) * order)
+        Whole Fractions become ints; any other non-integer raises
+        ArithmeticError, and a negative order raises ValueError."""
+        cs = [_whole(c) for c in coeffs]
+        if order is not None:
+            if order < 0:
+                raise ValueError(f"series order must be >= 0, got {order}")
+            cs = cs[:order] + [0] * (order - len(cs))
+        return cls(tuple(cs))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -73,7 +80,7 @@ class PowerSeries:
     def x(cls, order: int) -> "PowerSeries":
         return cls.from_coeffs([0, 1], order)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
@@ -104,11 +111,11 @@ class PowerSeries:
         return _coerce(other, self.order) - self
 
     def __mul__(self, other) -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return PowerSeries(tuple(c * q for c in self.coeffs))
+        if isinstance(other, int):
+            return PowerSeries(tuple(c * other for c in self.coeffs))
+        other = _coerce(other, self.order)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a == 0:
                 continue
@@ -120,13 +127,17 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "PowerSeries":
+        """1/self, which has integer coefficients exactly when the constant
+        term is a unit, ±1, and is then its own inverse."""
         a = self.coeffs
         if not a or a[0] == 0:
             raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
+        inv0 = a[0]
+        if inv0 not in (1, -1):
+            raise ArithmeticError(f"constant term {inv0} is not ±1; no integral reciprocal")
+        out = [inv0] + [0] * (self.order - 1)
         for n in range(1, self.order):
-            acc = Fraction(0)
+            acc = 0
             for k in range(1, n + 1):
                 if a[k] != 0:
                     acc += a[k] * out[n - k]
@@ -149,19 +160,13 @@ class PowerSeries:
         """Multiply by x^k (same order; top coefficients fall off)."""
         if k < 0:
             raise ValueError("shift_up needs k >= 0")
-        return PowerSeries(((Fraction(0),) * k + self.coeffs)[: self.order])
-
-    def divide_xk(self, k: int) -> "PowerSeries":
-        """Exact division by x^k; order drops by k."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ArithmeticError(f"series is not divisible by x^{k}")
-        return PowerSeries(self.coeffs[k:])
+        return PowerSeries(((0,) * k + self.coeffs)[: self.order])
 
 
 def _coerce(v, order: int) -> PowerSeries:
     if isinstance(v, PowerSeries):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return PowerSeries.from_coeffs([v], order)
     raise TypeError(f"cannot treat {type(v).__name__} as a power series")
 
@@ -253,10 +258,8 @@ def positive_growth_series(p: int, order: int = DEFAULT_ORDER) -> GrowthSeriesBu
     return GrowthSeriesBundle(p, order, mi, m, l, r, s_closed)
 
 
-def expand_rational(
-    num: Sequence[Scalar], den: Sequence[Scalar], order: int
-) -> PowerSeries:
-    """Taylor coefficients of num(x)/den(x); den must have nonzero constant."""
+def expand_rational(num: Sequence[int], den: Sequence[int], order: int) -> PowerSeries:
+    """Taylor coefficients of num(x)/den(x); den must have constant term ±1."""
     n = PowerSeries.from_coeffs(num, order)
     d = PowerSeries.from_coeffs(den, order)
     return n * d.reciprocal()
@@ -274,9 +277,4 @@ def check_eqonn(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
 
 
 def series_to_ints(s: PowerSeries) -> list[int]:
-    out = []
-    for c in s.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integer coefficient {c} in counting series")
-        out.append(c.numerator)
-    return out
+    return list(s.coeffs)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from thompson_fp.automaton import phi_series
 from thompson_fp.series import (
     PowerSeries,
     check_eqonn,
@@ -42,16 +43,25 @@ def test_reciprocal_requires_unit_constant_term():
         PowerSeries.from_coeffs([0, 1, 1]).reciprocal()
 
 
+def test_reciprocal_of_non_unit_is_not_integral():
+    with pytest.raises(ArithmeticError, match="not ±1"):
+        PowerSeries.from_coeffs([2, 1]).reciprocal()
+    assert PowerSeries.from_coeffs([-1, 1, 0]).reciprocal().coeffs == (-1, -1, -1)
+
+
+def test_negative_order_is_rejected():
+    # a negative order used to slice from the end instead of failing
+    with pytest.raises(ValueError):
+        phi_series(2, -1)
+    with pytest.raises(ValueError):
+        solve_M(3, -1)
+    with pytest.raises(ValueError):
+        PowerSeries.one(-1)
+
+
 def test_int_power_negative_exponent():
     s = PowerSeries.from_coeffs([1, 1, 0, 0])
     assert s.int_power(-2).coeffs == s.reciprocal().int_power(2).coeffs
-
-
-def test_divide_xk():
-    s = PowerSeries.from_coeffs([0, 0, 1, 5])
-    assert s.divide_xk(2).coeffs == (F(1), F(5))
-    with pytest.raises(ArithmeticError):
-        PowerSeries.from_coeffs([0, 1]).divide_xk(2)
 
 
 def test_solve_M_satisfies_its_equation():
@@ -77,11 +87,16 @@ def test_solve_Mi_product_telescopes():
 
 def test_p2_closed_form():
     # for p=2 the growth series of positive elements is rational
-    for order in (30, 200):
+    for order in (30, 200, 1000):
         s = positive_growth_series(2, order).s
         closed = expand_rational([1, 0, -1], [1, -2, -1, 1], order)
         assert (s - closed).is_zero
-        assert series_to_ints(s)[:7] == [1, 2, 4, 9, 20, 45, 101]
+        counts = series_to_ints(s)
+        assert counts[:7] == [1, 2, 4, 9, 20, 45, 101]
+        # the denominator 1 - 2x - x^2 + x^3 as a plain integer recurrence,
+        # independent of the reciprocal that both routes above share
+        for n in range(3, order):
+            assert counts[n] == 2 * counts[n - 1] + counts[n - 2] - counts[n - 3], n
 
 
 def test_first_coefficients_by_p():
@@ -95,6 +110,8 @@ def test_bundle_is_consistent():
     assert b.p == 3 and b.order == 10
     assert len(b.mi) == 2
     assert b.counts() == series_to_ints(b.s)
+    for ps in (b.m, b.l, b.r, b.s, *b.mi):
+        assert all(type(c) is int for c in ps.coeffs)
 
 
 def test_order_zero_has_no_bundle():
