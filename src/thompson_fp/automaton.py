@@ -132,8 +132,10 @@ def count_paths(p: int, n: int) -> int:
 def state_series(p: int, order: int) -> dict[str, PowerSeries]:
     """Per-state path-count generating functions f_state(t), exact; their
     sum counts |L_p ∩ Σ^n| for every n < order from a single walk."""
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     aut = build_automaton(p)
-    vectors = list(itertools.islice(_walk(aut), max(order, 0)))
+    vectors = list(itertools.islice(_walk(aut), order))
     return {
         s: PowerSeries.from_coeffs([v[k] for v in vectors])
         for k, s in enumerate(aut.states)

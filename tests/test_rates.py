@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from thompson_fp import rates
 from thompson_fp.rates import (
     DEFAULT_TOL,
+    _bisect,
     ln2_enclosure,
     rate_report,
     xi,
@@ -112,3 +114,133 @@ def test_rate_report_shape():
         assert row.bounds_ok
         assert row.zeta.low < row.xi.low  # xi exceeds zeta for all p
         assert 0 < row.lambda_excess < F(1, 2)
+
+
+def test_xi_asymptotic_precision_is_proven():
+    # |(p-1/2)/v - (p-1/2)/ln 2| <= (p-1/2) e/((v-e) v) for |v - ln 2| <= e
+    for precision in (F(1, 10**12), F(1, 10**40)):
+        for p in range(2, 201):
+            v, e = ln2_enclosure(precision / (4 * p))
+            assert F(2 * p - 1, 2) * e / ((v - e) * v) <= precision, p
+            assert xi_asymptotic(p, precision) == F(2 * p - 1, 2) / v + F(1, 2)
+
+
+def test_xi_asymptotic_refuses_a_wide_ln2_enclosure(monkeypatch):
+    monkeypatch.setattr(rates, "ln2_enclosure", lambda err: (F(7, 10), F(1, 100)))
+    with pytest.raises(ArithmeticError):
+        xi_asymptotic(5)
+
+
+# Edge branches of the integer bisection: forms F(a, q) = q^d f(a/q).
+
+
+def _never(a, b, q):
+    return False
+
+
+def test_bisect_hits_a_root_at_a_midpoint():
+    assert _bisect(lambda a, q: 2 * a - q, F(0), F(1), _never) == (F(1, 2), F(1, 2))
+    # 8x - 3 has its root 3/8 at the third midpoint of [0, 1]
+    assert _bisect(lambda a, q: 8 * a - 3 * q, F(0), F(1), _never) == (F(3, 8),) * 2
+
+
+def test_bisect_root_at_an_endpoint():
+    assert _bisect(lambda a, q: a, F(0), F(1), _never) == (F(0), F(0))
+    root_at_hi = _bisect(lambda a, q: 3 * a - 2 * q, F(1, 3), F(2, 3), _never)
+    assert root_at_hi == (F(2, 3), F(2, 3))
+
+
+def test_bisect_without_sign_change_raises():
+    with pytest.raises(ArithmeticError, match="no sign change"):
+        _bisect(lambda a, q: a + q, F(0), F(1), _never)
+
+
+def test_bisect_shared_denominator_and_done():
+    # x^2 - 2 on [1/3, 5/2]: mixed denominators, stop once the width is <= 1/100
+    lo, hi = _bisect(
+        lambda a, q: a * a - 2 * q * q,
+        F(1, 3),
+        F(5, 2),
+        lambda a, b, q: (b - a) * 100 <= q,
+    )
+    assert lo * lo < 2 < hi * hi
+    assert 0 < hi - lo <= F(1, 100)
+
+
+# The Fraction bisection the integer forms replaced, kept as an oracle.
+
+
+def _fraction_bisect(f, lo, hi, done):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return lo, lo
+    if fhi == 0:
+        return hi, hi
+    assert (flo > 0) != (fhi > 0)
+    pos_low = flo > 0
+    while not done(lo, hi):
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if fm == 0:
+            return mid, mid
+        if (fm > 0) == pos_low:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _oracle_zeta(p, tol):
+    f = lambda x: (1 - x * x) ** (p - 1) * (1 + x - x * x) - 1
+    hi = F(1, p)
+    lo = hi / 2
+    while f(lo) <= 0:
+        lo /= 2
+    lo, hi = _fraction_bisect(f, lo, hi, lambda a, b: 1 / a - 1 / b <= tol)
+    return 1 / hi, 1 / lo, max(abs(f(lo)), abs(f(hi)))
+
+
+def _oracle_zeta_via_y(p, tol):
+    g = lambda y: (y * y - 1) ** (p - 1) * (y * y + y - 1) - y ** (2 * p)
+    lo, hi = _fraction_bisect(g, F(p), F(p) + F(1, 2), lambda a, b: b - a <= tol)
+    return lo, hi, max(abs(g(lo)), abs(g(hi)))
+
+
+def _oracle_xi(p, tol):
+    f = lambda t: (1 - t) ** p + (1 - t) ** (p - 1) - 1
+    lo, hi = _fraction_bisect(
+        f, F(0), F(1, 2), lambda a, b: a > 0 and 1 / a - 1 / b <= tol
+    )
+    return 1 / hi, 1 / lo, max(abs(f(lo)), abs(f(hi)))
+
+
+def _oracle_xi_via_direct(p, tol):
+    g = lambda z: (2 * z - 1) * (z - 1) ** (p - 1) - z**p
+    lo, hi = _fraction_bisect(g, F(1), F(2 * p), lambda a, b: b - a <= tol)
+    return lo, hi, max(abs(g(lo)), abs(g(hi)))
+
+
+def _oracle_xi_via_y(p, tol):
+    h = lambda y: y**p - y - 1
+    lo, hi = _fraction_bisect(
+        h, F(1), F(2), lambda a, b: a > 1 and a / (a - 1) - b / (b - 1) <= tol
+    )
+    return hi / (hi - 1), lo / (lo - 1), max(abs(h(lo)), abs(h(hi)))
+
+
+@pytest.mark.parametrize(
+    "route, oracle",
+    [
+        (zeta, _oracle_zeta),
+        (zeta_via_y, _oracle_zeta_via_y),
+        (xi, _oracle_xi),
+        (xi_via_direct, _oracle_xi_via_direct),
+        (xi_via_y, _oracle_xi_via_y),
+    ],
+)
+def test_integer_bisection_matches_fraction_oracle(route, oracle):
+    # the dyadic tolerance meets a bracket width exactly, so it pins "<="
+    for p in (2, 3, 5, 9, 20):
+        for tol in (F(1, 10**9), F(1, 10**40), F(1, 2**20)):
+            r = route(p, tol)
+            assert (r.low, r.high, r.residual_bound) == oracle(p, tol), (p, tol)

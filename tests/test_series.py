@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from thompson_fp.automaton import phi_series
+from thompson_fp.automaton import phi_series, state_series
 from thompson_fp.series import (
     PowerSeries,
     check_eqonn,
@@ -53,6 +53,8 @@ def test_negative_order_is_rejected():
     # a negative order used to slice from the end instead of failing
     with pytest.raises(ValueError):
         phi_series(2, -1)
+    with pytest.raises(ValueError):
+        state_series(2, -1)
     with pytest.raises(ValueError):
         solve_M(3, -1)
     with pytest.raises(ValueError):
