@@ -17,12 +17,13 @@ Output is a single JSON object (top-level key "schema": "1") on stdout, or
 CSV for the table-shaped commands with --format csv.  Exact rationals print
 as "num/den" strings unless --float is given.  Exit codes: 0 success (for
 verify: all checks passed), 1 domain errors or failed verification, 2 usage
-errors.
+errors.  One parser is built per process and shared by every `run` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -65,7 +66,11 @@ def _rational(v: Fraction, as_float: bool):
     return f"{v.numerator}/{v.denominator}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by every
+    later one.  `run` parses every argv with it, so it is shared: read it and
+    call `parse_args` on it, but do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="thompson-fp",
         description="Growth arithmetic for the generalized Thompson groups F(p).",
@@ -284,23 +289,24 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+_HANDLERS = {
+    "growth": _cmd_growth,
+    "rate": _cmd_rate,
+    "normalize": _cmd_normalize,
+    "length": _cmd_length,
+    "equal": _cmd_equal,
+    "eval": _cmd_eval,
+    "verify": _cmd_verify,
+}
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "growth": _cmd_growth,
-        "rate": _cmd_rate,
-        "normalize": _cmd_normalize,
-        "length": _cmd_length,
-        "equal": _cmd_equal,
-        "eval": _cmd_eval,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

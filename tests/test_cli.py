@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 
@@ -152,6 +153,18 @@ def test_usage_error_exit_code(capsys):
     assert run(["growth", "positive", "--p", "2"]) == 2  # missing --n
     assert run(["growth", "positive", "--p", "1", "--n", "3"]) == 2  # p < 2
     assert run(["nonsense"]) == 2
+    capsys.readouterr()
+    for argv, message in (
+        (["growth", "positive", "--p", "2"], "required: --n"),
+        (["growth", "positive", "--p", "1", "--n", "3"], "must be >= 2, got 1"),
+        (["nonsense"], "invalid choice"),
+    ):
+        errs = []
+        for _ in range(2):
+            assert run(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert message in errs[0]
+        assert errs[0] == errs[1]
 
 
 def test_malformed_word_exit_code(capsys):
@@ -159,6 +172,79 @@ def test_malformed_word_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "zz" in err
+
+
+def test_run_reuses_one_parser(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    run(["eval", "--p", "2", "x0"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["growth", "language", "--p", "2", "--n", "4"],
+        ["rate", "positive", "--p", "2", "--tol", "1e-3"],
+        ["normalize", "--p", "2", "--form", "inf", "x2 x0"],
+        ["length", "--p", "2", "x1"],
+        ["equal", "--p", "2", "x1", "x1"],
+        ["eval", "--p", "3", "x4 x0"],
+        ["verify", "--p", "2", "--profile", "huge"],
+    ):
+        assert run(argv) == (2 if argv[0] == "verify" else 0)
+    capsys.readouterr()
+    assert built == []
+
+
+# Usage errors, help and domain errors interleaved with flags set and then
+# left unset: a parser that kept anything from one parse would show it in
+# the next call's output.
+STATE_LEAK_ARGVS = [
+    ["rate", "positive", "--p", "2", "--tol", "1e-6", "--float"],
+    ["growth", "positive", "--p", "2"],
+    ["rate", "positive", "--p", "2", "--tol", "1e-6"],
+    ["normalize", "--p", "2", "--form", "fin", "--trace", "x2 x0"],
+    ["growth", "positive", "--p", "1", "--n", "3"],
+    ["normalize", "--p", "2", "--form", "fin", "x2 x0"],
+    ["--help"],
+    ["length", "--p", "2", "--classes", "x2 x1"],
+    ["nonsense"],
+    ["length", "--p", "2", "x2 x1"],
+    ["normalize", "--p", "2", "--form", "inf", "x0 zz"],
+    ["rate", "report", "--pmax", "3", "--tol", "1e-6", "--format", "csv"],
+    ["rate", "report", "--help"],
+    ["rate", "report", "--pmax", "3", "--tol", "1e-6"],
+    ["growth", "positive", "--p", "2", "--n", "5", "--format", "csv"],
+    ["growth", "positive", "--p", "2", "--n", "5"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    def outcomes(fresh):
+        seen = []
+        for argv in STATE_LEAK_ARGVS:
+            if fresh:
+                build_parser.cache_clear()
+            code = run(argv)
+            captured = capsys.readouterr()
+            seen.append((argv, code, captured.out, captured.err))
+        return seen
+
+    try:
+        shared = outcomes(fresh=False)
+        fresh = outcomes(fresh=True)
+    finally:
+        build_parser.cache_clear()
+    assert shared == fresh
+    assert [code for _, code, _, _ in shared] == [0, 2, 0, 0, 2, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0]
+    out = {tuple(argv): out for argv, _, out, _ in shared}
+    for flag, key in (("--trace", '"trace"'), ("--classes", '"classes"')):
+        [with_flag] = [argv for argv in STATE_LEAK_ARGVS if flag in argv]
+        assert key in out[tuple(with_flag)]
+        assert key not in out[tuple(a for a in with_flag if a != flag)]
 
 
 def test_parser_help_mentions_subcommands():
