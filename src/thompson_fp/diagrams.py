@@ -133,7 +133,9 @@ def right_spine(p: int, k: int) -> PTree:
     return PTree(("C" + "L" * (p - 1)) * k + "L")
 
 
-@lru_cache(maxsize=None)
+# Bounded: the workloads use a few dozen (p, n) pairs, and a long word with
+# ever larger indices would otherwise keep every one of its generators.
+@lru_cache(maxsize=256)
 def generator_pair(p: int, n: int) -> TreePair:
     """The diagram of x_n: R_k with a caret at leaf n over R_{k+1}."""
     _check_p(p)

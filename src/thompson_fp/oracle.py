@@ -55,6 +55,11 @@ def _hanging_kinds(p: int, kind: str, i: int) -> tuple[tuple[str, int], ...]:
     return tuple(k for k in fordham._child_kinds(p, kind, i)[1] if k[0] != fordham.RIGHT)
 
 
+# The classes the census prune takes to weigh >= 1: a hanging caret is left
+# or middle, and every right caret above the deepest one is right_full.
+_PRUNE_CLASSES = (fordham.LEFT, fordham.MIDDLE_EMPTY, fordham.MIDDLE_FULL, fordham.RIGHT_FULL)
+
+
 class _Walk:
     """One census call's depth-first walk over the trees that can weigh at
     most a budget, built as preorder strings.  It memoises the hanging
@@ -64,8 +69,13 @@ class _Walk:
     on the depth of a tree; the spine is walked with an explicit stack."""
 
     def __init__(self, p: int):
+        weights = fordham.CARET_WEIGHTS
+        light = [c for c in _PRUNE_CLASSES if weights[c] < 1]
+        if light:
+            raise ValueError(f"the census prune needs {', '.join(light)} carets to weigh >= 1")
         self.p = p
         self.built = 0
+        self._right_full = weights[fordham.RIGHT_FULL]
         self._lists: dict[tuple[str, int, int], list[tuple[PTree, int]]] = {}
 
     def _count(self) -> None:
@@ -107,11 +117,12 @@ class _Walk:
                 yield tree + trees, w + ws
 
     def _candidates(self, budget: int) -> Iterator[PTree]:
-        """Every tree with a caret whose hanging weights, plus 2 per right
-        caret below the first, are at most budget, and whose deepest spine
-        caret has hanging weight > 0.  Each stack entry is a spine caret
-        still to fill: the preorder string above it, its kind (the root, or
-        a right caret) and the budget left for it and the spine below."""
+        """Every tree with a caret whose hanging weights, plus the right_full
+        weight per right caret below the first, are at most budget, and whose
+        deepest spine caret has hanging weight > 0.  Each stack entry is a
+        spine caret still to fill: the preorder string above it, its kind
+        (the root, or a right caret) and the budget left for it and the spine
+        below."""
         stack = [("", fordham.ROOT, budget)]
         while stack:
             above, kind, budget = stack.pop()
@@ -119,7 +130,7 @@ class _Walk:
                 top = above + "C" + kids  # its last child, the spine below, follows
                 if w:
                     yield PTree(top + "L")
-                below = budget - w - (2 if kind == fordham.RIGHT else 0)
+                below = budget - w - (self._right_full if kind == fordham.RIGHT else 0)
                 stack.append((top, fordham.RIGHT, below))
 
 
@@ -144,9 +155,12 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     p-1 children, all of them hanging subtrees, so every right caret above
     it has a middle caret after it and is right_full: at most one caret is
     right_empty.  A reduced tree of weight <= W with k right carets thus has
-    hanging weights plus 2(k-1) at most W.  The walk prunes exactly when
-    that sum exceeds W, so it reaches every such tree.  It also ends the
-    spine only at a caret with hanging weight > 0, which skips only
+    hanging weights plus (k-1) times the right_full weight at most W.  The
+    walk prunes exactly when that sum exceeds W, so it reaches every such
+    tree.  It reads the weights from `fordham.CARET_WEIGHTS` when it starts
+    and raises ValueError unless the left, middle and right_full classes
+    weigh >= 1, since its budget must fall at every caret it adds.  It also
+    ends the spine only at a caret with hanging weight > 0, which skips only
     non-reduced trees: a tree with a caret is reduced exactly when its
     deepest spine caret keeps a hanging caret, and each hanging caret
     weighs >= 1.  The leaf is the one other candidate.  Each candidate is

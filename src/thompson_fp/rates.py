@@ -10,13 +10,18 @@ bound for the group growth rate), 1/t* where t* is the unique root in
 (2 xi - 1)(xi - 1)^(p-1) = xi^p, and y = (1 - t)^-1 solves y^p = y + 1.
 Asymptotically xi(p) = (p - 1/2)/ln 2 + 1/2 + o(1).
 
-All arithmetic is exact.  Each root equation f(x) = 0 of degree d is written
-once, as its homogeneous integer form F(a, q) = q^d f(a/q).  The bisection
-keeps its bracket as integers a < b over one shared denominator q > 0 and
-evaluates F in plain integers; since q^d > 0, F(a, q) has exactly the sign of
-f(a/q), with no rounding and no gcd.  The bracket keeps a sign change of f,
-so the returned enclosure [low, high] is mathematically guaranteed to contain
-the root.  Residuals and the cross-form checks evaluate the same forms.
+All arithmetic is exact.  Each of the five root equations f(x) = 0 is one
+piece of data: its homogeneous integer form F(a, q) = q^d f(a/q), its degree
+d, its printed text, and the Moebius map (alpha x + beta)/(gamma x + delta)
+from its root x to the rate: x, 1/x or y/(y - 1).  One routine, `_enclose`,
+serves all five routes.  It bisects on integers a < b over one shared q > 0;
+F(a, q) has exactly the sign of f(a/q), so there is no rounding and no gcd.
+It stops once the rate's width over the bracket [a/q, b/q],
+|alpha delta - beta gamma| q (b - a) / ((gamma a + delta q)(gamma b + delta q)),
+is at most tol, compared in integers; while the denominator product is not
+> 0, a pole lies in the bracket and the test fails.  The bracket keeps a sign
+change of f, so its image, the enclosure, is guaranteed to contain the rate.
+Residuals and the cross-form checks evaluate the same forms.
 """
 
 from __future__ import annotations
@@ -25,14 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .words import _check_p
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
-# F(a, q) = q^d f(a/q) for a root equation f of degree d; see _bisect.
+# F(a, q) = q^d f(a/q) for a root equation f of degree d; it has the sign of f.
 _Form = Callable[[int, int], int]
+# done(a, b, q): whether the bracket [a/q, b/q] is narrow enough.
+_Done = Callable[[int, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -52,20 +59,11 @@ class RateResult:
         return self.high - self.low
 
 
-def _bisect(
-    form: _Form,
-    lo: Fraction,
-    hi: Fraction,
-    done: Callable[[int, int, int], bool],
-) -> tuple[Fraction, Fraction]:
+def _bisect(form: _Form, lo: Fraction, hi: Fraction, done: _Done) -> tuple[Fraction, Fraction]:
     """Shrink [lo, hi] until done(a, b, q), where [a/q, b/q] is the bracket,
-    keeping form(a, q) and form(b, q) of opposite signs.
-
-    `form(a, q)` is q^d f(a/q) for the polynomial f of degree d whose root is
-    sought; q > 0, so it has the sign of f(a/q) and the loop runs in plain
-    integers.  A step doubles a, b and q; the midpoint of [a/q, b/q] is then
-    (a + b) over the doubled q, exactly the rational (lo + hi)/2.
-    """
+    keeping form(a, q) and form(b, q) of opposite signs.  A step doubles a, b
+    and q; the midpoint of [a/q, b/q] is then (a + b) over the doubled q,
+    exactly the rational (lo + hi)/2."""
     q = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (q // lo.denominator)
     b = hi.numerator * (q // hi.denominator)
@@ -90,179 +88,176 @@ def _bisect(
     return Fraction(a, q), Fraction(b, q)
 
 
-def _value(form: _Form, degree: int, x: Fraction) -> Fraction:
-    """f(x), read off the homogeneous form F(a, q) = q^degree f(a/q)."""
-    return Fraction(form(x.numerator, x.denominator), x.denominator**degree)
+# The map x -> (alpha x + beta)/(gamma x + delta) from a root to its rate, as
+# (alpha, beta, gamma, delta).  Each of the three is its own inverse.
+_Map = tuple[int, int, int, int]
+_X: _Map = (1, 0, 0, 1)
+_ONE_OVER_X: _Map = (0, 1, 1, 0)
+_Y_OVER_Y_MINUS_1: _Map = (1, 0, 1, -1)
 
 
-def _residual(form: _Form, degree: int, *xs: Fraction) -> Fraction:
-    """max |f(x)| over the given points."""
-    return max(abs(_value(form, degree, x)) for x in xs)
+def _image(m: _Map, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """(low, high), the image of [lo, hi] under m, which has no pole there;
+    m keeps the order where alpha delta > beta gamma and reverses it elsewhere."""
+    al, be, ga, de = m
+    ends = [
+        Fraction(al * n + be * d, ga * n + de * d)
+        for n, d in (lo.as_integer_ratio(), hi.as_integer_ratio())
+    ]
+    return (ends[0], ends[1]) if al * de > be * ga else (ends[1], ends[0])
 
 
-def _width_in_reciprocal(tol: Fraction):
-    """done(a, b, q) for 1/lo - 1/hi <= tol, with lo = a/q > 0 and hi = b/q."""
-    n, d = tol.numerator, tol.denominator
-    return lambda a, b, q: a > 0 and q * (b - a) * d <= n * a * b
+def _width_test(m: _Map, tol: Fraction) -> _Done:
+    """done(a, b, q) for: m has no pole on [a/q, b/q], where the denominators
+    u = gamma a + delta q and v = gamma b + delta q = u + gamma (b - a) have
+    u v > 0, and the image there, |alpha delta - beta gamma| q (b - a)/(u v)
+    wide, is at most tol wide."""
+    al, be, ga, de = m
+    k, n = abs(al * de - be * ga) * tol.denominator, tol.numerator
+
+    def done(a: int, b: int, q: int) -> bool:
+        w = b - a
+        u = ga * a + de * q
+        den = u * (u + ga * w)
+        return den > 0 and k * w * q <= n * den
+
+    return done
 
 
-def _width(tol: Fraction):
-    """done(a, b, q) for hi - lo <= tol."""
-    n, d = tol.numerator, tol.denominator
-    return lambda a, b, q: (b - a) * d <= n * q
+class _Equation(NamedTuple):
+    """A root equation f(x) = 0 of degree d: its form F(a, q) = q^d f(a/q),
+    the map from its root to the rate, and the text a RateResult prints.
+    A tuple, so building one per call is cheap."""
+
+    p: int
+    form: _Form
+    degree: int
+    rate: _Map
+    text: str
+
+    def value(self, x: Fraction) -> Fraction:
+        """f(x), read off the form."""
+        return Fraction(self.form(x.numerator, x.denominator), x.denominator**self.degree)
+
+    def brackets(self, low: Fraction, high: Fraction) -> bool:
+        """True if f vanishes or changes sign between the roots whose rates
+        are low and high: the form has the sign of f."""
+        fl, fh = (self.form(*x.as_integer_ratio()) for x in _image(self.rate, low, high))
+        return min(fl, fh) <= 0 <= max(fl, fh)
 
 
-# The root equations, each as its homogeneous integer form q^d f(a/q).
+def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateResult:
+    """Bisect eq on [lo, hi] until its rate is enclosed within tol."""
+    lo, hi = _bisect(eq.form, lo, hi, _width_test(eq.rate, _check_tol(tol)))
+    residual = max(abs(eq.value(lo)), abs(eq.value(hi)))
+    return RateResult(eq.p, *_image(eq.rate, lo, hi), eq.text, residual)
 
 
-def _zeta_form(p: int):
-    """f(x) = (1 - x^2)^(p-1) (1 + x - x^2) - 1, degree 2p."""
+# The root equations.  Each checks p, so a route checks p before tol.
+
+
+def _zeta_eq(p: int) -> _Equation:
+    """f(x) = (1 - x^2)^(p-1) (1 + x - x^2) - 1, rate 1/x."""
+    _check_p(p)
 
     def form(a: int, q: int) -> int:
-        return (q * q - a * a) ** (p - 1) * (q * q + a * q - a * a) - q ** (2 * p)
+        qq = q * q
+        c = qq - a * a
+        return c ** (p - 1) * (c + a * q) - qq**p
 
-    return form
-
-
-def _zeta_y_form(p: int):
-    """g(y) = (y^2 - 1)^(p-1) (y^2 + y - 1) - y^(2p), degree 2p."""
-
-    def form(a: int, q: int) -> int:
-        return (a * a - q * q) ** (p - 1) * (a * a + a * q - q * q) - a ** (2 * p)
-
-    return form
+    return _Equation(p, form, 2 * p, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
 
 
-def _xi_form(p: int):
-    """f(t) = (1 - t)^p + (1 - t)^(p-1) - 1, degree p."""
+def _zeta_y_eq(p: int) -> _Equation:
+    """g(y) = (y^2 - 1)^(p-1) (y^2 + y - 1) - y^(2p), rate y."""
+    _check_p(p)
 
     def form(a: int, q: int) -> int:
-        return (q - a) ** p + (q - a) ** (p - 1) * q - q**p
+        aa = a * a
+        c = aa - q * q
+        return c ** (p - 1) * (c + a * q) - aa**p
 
-    return form
+    return _Equation(p, form, 2 * p, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
 
 
-def _xi_direct_form(p: int):
-    """g(z) = (2z - 1)(z - 1)^(p-1) - z^p, degree p."""
+def _xi_eq(p: int) -> _Equation:
+    """f(t) = (1 - t)^p + (1 - t)^(p-1) - 1, rate 1/t."""
+    _check_p(p)
+
+    def form(a: int, q: int) -> int:
+        c = q - a
+        return c ** (p - 1) * (c + q) - q**p
+
+    return _Equation(p, form, p, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
+
+
+def _xi_direct_eq(p: int) -> _Equation:
+    """g(z) = (2z - 1)(z - 1)^(p-1) - z^p, rate z."""
+    _check_p(p)
 
     def form(a: int, q: int) -> int:
         return (2 * a - q) * (a - q) ** (p - 1) - a**p
 
-    return form
+    return _Equation(p, form, p, _X, "(2z-1)(z-1)^(p-1)=z^p")
 
 
-def _xi_y_form(p: int):
-    """h(y) = y^p - y - 1, degree p."""
+def _xi_y_eq(p: int) -> _Equation:
+    """h(y) = y^p - y - 1, rate y/(y - 1)."""
+    _check_p(p)
 
     def form(a: int, q: int) -> int:
-        return a**p - a * q ** (p - 1) - q**p
+        return a**p - (a + q) * q ** (p - 1)
 
-    return form
-
-
-def _brackets(form: _Form, degree: int, low: Fraction, high: Fraction) -> bool:
-    """True if f changes sign or vanishes on [low, high] (or low == high)."""
-    if low == high:
-        return True
-    fl, fh = _value(form, degree, low), _value(form, degree, high)
-    return fl == 0 or fh == 0 or (fl > 0) != (fh > 0)
+    return _Equation(p, form, p, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
 
 
 def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Positive-monoid growth rate with enclosure width <= tol."""
-    _check_p(p)
-    tol = _check_tol(tol)
-    f = _zeta_form(p)
+    f = _zeta_eq(p)
     hi = Fraction(1, p)
-    if _value(f, 2 * p, hi) >= 0:
+    if f.value(hi) >= 0:
         raise ArithmeticError(f"expected a sign change below x = 1/{p}")
     lo = hi / 2
     for _ in range(64):
-        if _value(f, 2 * p, lo) > 0:
+        if f.value(lo) > 0:
             break
         lo /= 2
     else:
         raise ArithmeticError("could not find a positive left endpoint")
-    lo, hi = _bisect(f, lo, hi, _width_in_reciprocal(tol))
-    low, high = 1 / hi, 1 / lo
-    if not _brackets(_zeta_y_form(p), 2 * p, low, high):
+    r = _enclose(f, lo, hi, tol)
+    if not _zeta_y_eq(p).brackets(r.low, r.high):
         raise ArithmeticError("reciprocal-form polynomial does not bracket the root")
-    return RateResult(
-        p,
-        low,
-        high,
-        "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x",
-        _residual(f, 2 * p, lo, hi),
-    )
+    return r
 
 
 def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Independent route: bisect (y^2-1)^(p-1)(y^2+y-1) - y^(2p) on [p, p+1/2]."""
-    _check_p(p)
-    tol = _check_tol(tol)
-    g = _zeta_y_form(p)
-    lo, hi = _bisect(g, Fraction(p), Fraction(2 * p + 1, 2), _width(tol))
-    return RateResult(
-        p, lo, hi, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)", _residual(g, 2 * p, lo, hi)
-    )
+    return _enclose(_zeta_y_eq(p), Fraction(p), Fraction(2 * p + 1, 2), tol)
 
 
 def xi(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Language growth rate (group growth lower bound), width <= tol."""
-    _check_p(p)
-    tol = _check_tol(tol)
-    f = _xi_form(p)
-    lo, hi = Fraction(0), Fraction(1, 2)
-    if _value(f, p, hi) >= 0:
+    f = _xi_eq(p)
+    if f.value(Fraction(1, 2)) >= 0:
         raise ArithmeticError("expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2")
-    lo, hi = _bisect(f, lo, hi, _width_in_reciprocal(tol))
-    low, high = 1 / hi, 1 / lo
+    r = _enclose(f, Fraction(0), Fraction(1, 2), tol)
     # Cross-checks: both alternate forms must change sign over the enclosure.
-    if not _brackets(_xi_direct_form(p), p, low, high):
+    if not _xi_direct_eq(p).brackets(r.low, r.high):
         raise ArithmeticError("direct-form polynomial does not bracket the root")
-    if not _brackets(_xi_y_form(p), p, 1 / (1 - lo), 1 / (1 - hi)):
+    if not _xi_y_eq(p).brackets(r.low, r.high):
         raise ArithmeticError("y-form polynomial does not bracket the root")
-    return RateResult(
-        p,
-        low,
-        high,
-        "(1-t)^p+(1-t)^(p-1)=1, rate=1/t",
-        _residual(f, p, lo, hi),
-    )
+    return r
 
 
 def xi_via_direct(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Independent route: bisect (2z-1)(z-1)^(p-1) - z^p on [1, 2p]."""
-    _check_p(p)
-    tol = _check_tol(tol)
-    g = _xi_direct_form(p)
-    lo, hi = _bisect(g, Fraction(1), Fraction(2 * p), _width(tol))
-    return RateResult(p, lo, hi, "(2z-1)(z-1)^(p-1)=z^p", _residual(g, p, lo, hi))
+    return _enclose(_xi_direct_eq(p), Fraction(1), Fraction(2 * p), tol)
 
 
 def xi_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
-    """Independent route: bisect y^p - y - 1 on [1, 2]; rate = 1/(1 - 1/y)."""
-    _check_p(p)
-    tol = _check_tol(tol)
-    h = _xi_y_form(p)
-    # rate = y/(y-1) is decreasing in y, so track the rate width directly:
-    # with lo = a/q > 1 and hi = b/q, lo/(lo-1) - hi/(hi-1) equals
-    # q(b - a)/((a - q)(b - q)).  h(1) = -1 < 0 and h(2) = 2^p - 3 > 0
-    # bracket the root for every p >= 2.
-    n, d = tol.numerator, tol.denominator
-    lo, hi = _bisect(
-        h,
-        Fraction(1),
-        Fraction(2),
-        lambda a, b, q: a > q and q * (b - a) * d <= n * (a - q) * (b - q),
-    )
-    return RateResult(
-        p,
-        hi / (hi - 1),
-        lo / (lo - 1),
-        "y^p=y+1, rate=y/(y-1)",
-        _residual(h, p, lo, hi),
-    )
+    """Independent route: bisect y^p - y - 1 on [1, 2]; rate = y/(y - 1).
+    h(1) = -1 < 0 and h(2) = 2^p - 3 > 0 bracket the root for every p >= 2."""
+    return _enclose(_xi_y_eq(p), Fraction(1), Fraction(2), tol)
 
 
 # Bounded: xi_asymptotic asks for one tolerance per (p, precision) pair.

@@ -92,6 +92,14 @@ def test_generator_leaf_position():
         assert equal(g, g)
 
 
+def test_generator_memo_is_bounded():
+    maxsize = generator_pair.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 64
+    for n in range(maxsize + 50):
+        assert evaluate(2, (Letter(n, 1),)) == generator_pair(2, n)
+    assert generator_pair.cache_info().currsize <= maxsize
+
+
 def test_identity_and_inverse():
     e = identity(2)
     g = generator_pair(2, 1)

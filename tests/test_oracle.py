@@ -130,6 +130,26 @@ def test_census_reads_live_weight_table():
     assert list(enumerate_positive_by_weight(2, 6).counts) == expected
 
 
+def test_census_prune_reads_the_right_full_weight(monkeypatch, iter_trees):
+    # the spine prune subtracts the right_full weight the table holds
+    monkeypatch.setitem(fordham.CARET_WEIGHTS, fordham.RIGHT_FULL, 1)
+    for p, top in ((2, 6), (3, 5)):
+        assert enumerate_positive_by_weight(p, top).counts == _unpruned_census(iter_trees, p, top)
+    assert enumerate_positive_by_weight(2, 6).counts == (1, 2, 5, 12, 29, 70, 168)
+
+
+@pytest.mark.parametrize(
+    "cls", [fordham.LEFT, fordham.MIDDLE_EMPTY, fordham.MIDDLE_FULL, fordham.RIGHT_FULL]
+)
+def test_census_refuses_a_weightless_caret(monkeypatch, cls):
+    # read live, a weight of 0 would let the spine walk run forever
+    monkeypatch.setitem(fordham.CARET_WEIGHTS, cls, 0)
+    with pytest.raises(ValueError, match=f"{cls} carets to weigh >= 1"):
+        enumerate_positive_by_weight(2, 6)
+    with pytest.raises(ValueError, match=cls):
+        enumerate_middle_by_weight(2, 1, 6)
+
+
 def test_census_guard_counts_trees_built(monkeypatch, capsys):
     built = enumerate_positive_by_weight(2, 6).trees_scanned
     monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", built)

@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 
 from thompson_fp import rates
+from thompson_fp.cli import run
 from thompson_fp.rates import (
     DEFAULT_TOL,
+    _ONE_OVER_X,
+    _X,
+    _Y_OVER_Y_MINUS_1,
     _bisect,
+    _image,
+    _width_test,
     ln2_enclosure,
     rate_report,
     xi,
@@ -67,6 +73,60 @@ def test_rate_result_fields():
     assert r.low <= r.midpoint <= r.high
     assert r.width == r.high - r.low
     assert "rate" in r.equation
+
+
+@pytest.mark.parametrize(
+    "route, equation",
+    [
+        (zeta, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x"),
+        (zeta_via_y, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)"),
+        (xi, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t"),
+        (xi_via_direct, "(2z-1)(z-1)^(p-1)=z^p"),
+        (xi_via_y, "y^p=y+1, rate=y/(y-1)"),
+    ],
+)
+def test_equation_text_is_pinned(route, equation):
+    for p in (2, 5):
+        assert route(p, F(1, 10**6)).equation == equation
+
+
+def test_cli_prints_the_equation(capsys):
+    for what, route in (("positive", zeta), ("lower-bound", xi)):
+        assert run(["rate", what, "--p", "3"]) == 0
+        assert f'"equation": "{route(3).equation}"' in capsys.readouterr().out
+
+
+def test_width_test_on_the_three_maps():
+    # the rate x on [1/8, 2/8]: 1/8 wide, so a dyadic tol of 1/8 pins "<="
+    assert _width_test(_X, F(1, 8))(1, 2, 8)
+    assert not _width_test(_X, F(1, 9))(1, 2, 8)
+    assert not _width_test(_X, F(1, 8))(1, 3, 8)
+    # the rate 1/x on [1/4, 1/2] is [2, 4], 2 wide
+    assert _width_test(_ONE_OVER_X, F(2))(2, 4, 8)
+    assert not _width_test(_ONE_OVER_X, F(15, 8))(2, 4, 8)
+    # the rate y/(y-1) on [3/2, 2] is [2, 3], 1 wide
+    assert _width_test(_Y_OVER_Y_MINUS_1, F(1))(3, 4, 2)
+    assert not _width_test(_Y_OVER_Y_MINUS_1, F(1, 2))(3, 4, 2)
+
+
+def test_width_test_is_false_on_a_pole():
+    huge = F(10**30)
+    # 1/x at a = 0, and across 0
+    assert not _width_test(_ONE_OVER_X, huge)(0, 1, 8)
+    assert not _width_test(_ONE_OVER_X, huge)(-1, 1, 8)
+    # y/(y-1) at a = q, and across 1
+    assert not _width_test(_Y_OVER_Y_MINUS_1, huge)(2, 4, 2)
+    assert not _width_test(_Y_OVER_Y_MINUS_1, huge)(1, 4, 2)
+    assert _width_test(_Y_OVER_Y_MINUS_1, huge)(3, 4, 2)
+
+
+def test_image_orders_the_ends_and_each_map_is_its_own_inverse():
+    lo, hi = F(3, 2), F(2)
+    assert _image(_X, lo, hi) == (lo, hi)
+    assert _image(_ONE_OVER_X, lo, hi) == (F(1, 2), F(2, 3))
+    assert _image(_Y_OVER_Y_MINUS_1, lo, hi) == (F(2), F(3))
+    for m in (_X, _ONE_OVER_X, _Y_OVER_Y_MINUS_1):
+        assert _image(m, *_image(m, lo, hi)) == (lo, hi), m
 
 
 def test_tolerance_is_respected():
@@ -240,7 +300,7 @@ def _oracle_xi_via_y(p, tol):
 )
 def test_integer_bisection_matches_fraction_oracle(route, oracle):
     # the dyadic tolerance meets a bracket width exactly, so it pins "<="
-    for p in (2, 3, 5, 9, 20):
+    for p in (2, 3, 5, 9, 20, 50):
         for tol in (F(1, 10**9), F(1, 10**40), F(1, 2**20)):
             r = route(p, tol)
             assert (r.low, r.high, r.residual_bound) == oracle(p, tol), (p, tol)
