@@ -1,7 +1,7 @@
 """Exact truncated power series and the positive growth series of F(p).
 
 PowerSeries coefficients are ints: every series here counts something, and
-every series divided by has constant term 1, so no rational or floating
+every series divided by has constant term ±1, so no rational or floating
 point number enters this module.  A PowerSeries of order N carries
 coefficients 0..N-1; binary operations truncate to the smaller order.
 
@@ -29,9 +29,10 @@ x N^p + (x^3 - x - 1) N + 1 = 0.
 The series is solved once, in integers, from that equation: rearranged to
 (1 + x - x^3) N = 1 + x N^p it is a triangular recurrence for the
 coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
-read from N^i, then M = P_{p-1} and M_i = P_i / P_{i-1}; L, R and S follow
-by integer products and reciprocals, with S reached two ways as a
-cross-check.
+read from N^i, then M = P_{p-1}, and each of M_i = P_i / P_{i-1}, L, R and
+S is one exact division.  Each partial product M_1...M_k is checked against
+the P_k it was divided from, and the factored route L (M_1...M_{p-2}) R
+reuses the last of them to cross-check the closed route to S.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class PowerSeries:
         return all(c == 0 for c in self.coeffs)
 
     def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
         return PowerSeries(self.coeffs[:order])
 
     def __add__(self, other) -> "PowerSeries":
@@ -126,41 +127,41 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "PowerSeries":
-        """1/self, which has integer coefficients exactly when the constant
-        term is a unit, ±1, and is then its own inverse."""
-        a = self.coeffs
-        if not a or a[0] == 0:
-            raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        inv0 = a[0]
-        if inv0 not in (1, -1):
-            raise ArithmeticError(f"constant term {inv0} is not ±1; no integral reciprocal")
-        out = [inv0] + [0] * (self.order - 1)
-        for n in range(1, self.order):
-            acc = 0
-            for k in range(1, n + 1):
-                if a[k] != 0:
-                    acc += a[k] * out[n - k]
-            out[n] = -inv0 * acc
+    def __truediv__(self, other) -> "PowerSeries":
+        """self/other in one pass of the triangular recurrence.  other's
+        constant term must be ±1, a unit that is its own inverse, so every
+        coefficient of the quotient stays an integer."""
+        other = _coerce(other, self.order)
+        b = other.coeffs
+        if not b or b[0] == 0:
+            raise ZeroDivisionError("series with zero constant term cannot divide")
+        b0 = b[0]
+        if b0 not in (1, -1):
+            raise ArithmeticError(f"constant term {b0} is not ±1; no integral quotient")
+        n = min(self.order, other.order)
+        terms = [(k, c) for k, c in enumerate(b[1:n], 1) if c != 0]
+        out = list(self.coeffs[:n])
+        for i in range(n):
+            acc = out[i]
+            for k, c in terms:
+                if k > i:
+                    break
+                acc -= c * out[i - k]
+            out[i] = b0 * acc
         return PowerSeries(tuple(out))
 
     def int_power(self, k: int) -> "PowerSeries":
         if k < 0:
-            return self.reciprocal().int_power(-k)
+            return (PowerSeries.one(self.order) / self).int_power(-k)
         result = PowerSeries.one(self.order)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
-
-    def shift_up(self, k: int) -> "PowerSeries":
-        """Multiply by x^k (same order; top coefficients fall off)."""
-        if k < 0:
-            raise ValueError("shift_up needs k >= 0")
-        return PowerSeries(((0,) * k + self.coeffs)[: self.order])
 
 
 def _coerce(v, order: int) -> PowerSeries:
@@ -215,7 +216,7 @@ def solve_Mi(p: int, i: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     if not 1 <= i <= p - 1:
         raise ValueError(f"middle index must be in 1..{p - 1}, got {i}")
     ps = _p_products(p, order)
-    return ps[i] * ps[i - 1].reciprocal()
+    return ps[i] / ps[i - 1]
 
 
 @dataclass(frozen=True)
@@ -237,22 +238,19 @@ def positive_growth_series(p: int, order: int = DEFAULT_ORDER) -> GrowthSeriesBu
     _check_p(p)
     ps = _p_products(p, order)
     m = ps[-1]
-    mi = tuple(ps[i] * ps[i - 1].reciprocal() for i in range(1, p))
-    prod = PowerSeries.one(order)
-    for s_i in mi:
-        prod = prod * s_i
-    if prod != m:
-        raise ArithmeticError("product of M_i disagrees with M")
+    mi = tuple(ps[i] / ps[i - 1] for i in range(1, p))
+    partial = [ps[0]]  # M_1...M_k, each checked against the P_k it came from
+    for k, m_k in enumerate(mi, 1):
+        partial.append(partial[-1] * m_k)
+        if partial[k] != ps[k]:
+            raise ArithmeticError(f"product M_1...M_{k} disagrees with P_{k}")
     one = PowerSeries.one(order)
     x = PowerSeries.x(order)
     x2 = x * x
-    l = (one - x * m).reciprocal()
-    r = (one - x2) * mi[-1] * (one - x2 * m).reciprocal()
-    s_closed = (one - x2) * m * ((one - x * m) * (one - x2 * m)).reciprocal()
-    s_factored = l
-    for s_i in mi[:-1]:
-        s_factored = s_factored * s_i
-    s_factored = s_factored * r
+    l = one / (one - x * m)
+    r = (one - x2) * mi[-1] / (one - x2 * m)
+    s_closed = (one - x2) * m / ((one - x * m) * (one - x2 * m))
+    s_factored = l * partial[p - 2] * r
     if s_closed != s_factored:
         raise ArithmeticError("the two routes to S disagree")
     return GrowthSeriesBundle(p, order, mi, m, l, r, s_closed)
@@ -262,7 +260,7 @@ def expand_rational(num: Sequence[int], den: Sequence[int], order: int) -> Power
     """Taylor coefficients of num(x)/den(x); den must have constant term ±1."""
     n = PowerSeries.from_coeffs(num, order)
     d = PowerSeries.from_coeffs(den, order)
-    return n * d.reciprocal()
+    return n / d
 
 
 def check_eqonn(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -272,8 +270,9 @@ def check_eqonn(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     m = solve_M(p, order)
     one = PowerSeries.one(order)
     x = PowerSeries.x(order)
-    n = (one - m.shift_up(3)).reciprocal()
-    return x * n.int_power(p) + (x.int_power(3) - x - one) * n + one
+    x3 = x.int_power(3)
+    n = one / (one - x3 * m)
+    return x * n.int_power(p) + (x3 - x - one) * n + one
 
 
 def series_to_ints(s: PowerSeries) -> list[int]:

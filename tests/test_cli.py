@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import random
 
@@ -34,6 +35,25 @@ def test_growth_csv_format(capsys):
     assert code == 0
     assert out[0] == "n,count"
     assert out[1:] == ["0,1", "1,2", "2,4"]
+
+
+# sha256 of `growth positive --p P --n 200 --format csv`, pinned so that a
+# change to the series arithmetic cannot move a coefficient past order 30
+GROWTH_POSITIVE_N200_CSV_SHA256 = {
+    2: "f028a60a73f14a7ce1c740ee53f2e83779dffbafc0339b5b7e642845bd436d1f",
+    3: "70d39b7b1ca7ff2831c261cb429544a0ce7c798b197f5e4e48b91937e73e0fd1",
+    4: "7047aebb1410c792706cfff580c3b4f16f4f389ed7b2f6664df5707f412dabf7",
+    5: "43737c59b1506b21bde0f8e6c6c7919015a4290250a622615b9a12d1d17ccfde",
+    6: "c49a4ed6ff7b188c6467eddfd95d61c2708595e2c0a4fd374d2d45a28e7f3ba0",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GROWTH_POSITIVE_N200_CSV_SHA256))
+def test_growth_positive_csv_bytes_are_pinned(capsys, p):
+    code = run(["growth", "positive", "--p", str(p), "--n", "200", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROWTH_POSITIVE_N200_CSV_SHA256[p]
 
 
 def test_growth_language_methods_agree(capsys):

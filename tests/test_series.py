@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,20 +35,57 @@ def test_truncation_order_is_min_of_operands():
 
 def test_reciprocal_of_geometric():
     one_minus_x = PowerSeries.from_coeffs([1, -1, 0, 0, 0])
-    geo = one_minus_x.reciprocal()
+    geo = PowerSeries.one(5) / one_minus_x
     assert geo.coeffs == (F(1),) * 5
     assert (one_minus_x * geo).coeffs == (F(1), F(0), F(0), F(0), F(0))
 
 
 def test_reciprocal_requires_unit_constant_term():
     with pytest.raises(ArithmeticError):
-        PowerSeries.from_coeffs([0, 1, 1]).reciprocal()
+        PowerSeries.one(3) / PowerSeries.from_coeffs([0, 1, 1])
 
 
 def test_reciprocal_of_non_unit_is_not_integral():
     with pytest.raises(ArithmeticError, match="not ±1"):
-        PowerSeries.from_coeffs([2, 1]).reciprocal()
-    assert PowerSeries.from_coeffs([-1, 1, 0]).reciprocal().coeffs == (-1, -1, -1)
+        PowerSeries.one(2) / PowerSeries.from_coeffs([2, 1])
+    assert (PowerSeries.one(3) / PowerSeries.from_coeffs([-1, 1, 0])).coeffs == (-1, -1, -1)
+
+
+def _random_series(rng, order, unit=False):
+    cs = [rng.randint(-9, 9) for _ in range(order)]
+    if unit:
+        cs[0] = rng.choice((1, -1))
+    return PowerSeries.from_coeffs(cs)
+
+
+def test_division_inverts_multiplication():
+    rng = random.Random(11)
+    for order in range(1, 41):
+        a = _random_series(rng, order)
+        b = _random_series(rng, order, unit=True)
+        assert (a / b) * b == a, order
+        assert (a * b) / b == a, order
+
+
+def test_division_truncates_to_smaller_order():
+    rng = random.Random(12)
+    for na, nb in ((7, 3), (3, 7), (5, 5), (0, 4), (4, 1)):
+        a = _random_series(rng, na)
+        b = _random_series(rng, nb, unit=True)
+        q = a / b
+        assert q.order == min(na, nb)
+        assert q * b.truncate(q.order) == a.truncate(q.order)
+
+
+def test_division_needs_unit_constant_term():
+    a = PowerSeries.from_coeffs([1, 2, 3])
+    with pytest.raises(ZeroDivisionError):
+        a / PowerSeries.from_coeffs([0, 1, 1])
+    with pytest.raises(ZeroDivisionError):
+        a / PowerSeries.from_coeffs([])
+    with pytest.raises(ArithmeticError, match="not ±1"):
+        a / PowerSeries.from_coeffs([2, 1, 0])
+    assert (a / PowerSeries.from_coeffs([-1, 0, 0])).coeffs == (-1, -2, -3)
 
 
 def test_negative_order_is_rejected():
@@ -59,11 +98,33 @@ def test_negative_order_is_rejected():
         solve_M(3, -1)
     with pytest.raises(ValueError):
         PowerSeries.one(-1)
+    with pytest.raises(ValueError):
+        PowerSeries.from_coeffs([1, 2, 3, 4]).truncate(-1)
 
 
 def test_int_power_negative_exponent():
     s = PowerSeries.from_coeffs([1, 1, 0, 0])
-    assert s.int_power(-2).coeffs == s.reciprocal().int_power(2).coeffs
+    assert s.int_power(-2).coeffs == (PowerSeries.one(4) / s).int_power(2).coeffs
+
+
+def test_int_power_makes_no_unused_product(monkeypatch):
+    # one product per set bit of k and one squaring per bit after the top one
+    products = []
+    mul = PowerSeries.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    s = PowerSeries.from_coeffs([1, 1, 2, 3, 5, 8])
+    repeated = [PowerSeries.one(6)]
+    for _ in range(20):
+        repeated.append(mul(repeated[-1], s))
+    monkeypatch.setattr(PowerSeries, "__mul__", counting_mul)
+    for k in range(1, 21):
+        products.clear()
+        assert s.int_power(k) == repeated[k]
+        assert len(products) == bin(k).count("1") + k.bit_length() - 1, k
 
 
 def test_solve_M_satisfies_its_equation():
@@ -96,7 +157,7 @@ def test_p2_closed_form():
         counts = series_to_ints(s)
         assert counts[:7] == [1, 2, 4, 9, 20, 45, 101]
         # the denominator 1 - 2x - x^2 + x^3 as a plain integer recurrence,
-        # independent of the reciprocal that both routes above share
+        # independent of the series division that both routes above share
         for n in range(3, order):
             assert counts[n] == 2 * counts[n - 1] + counts[n - 2] - counts[n - 3], n
 
@@ -114,6 +175,29 @@ def test_bundle_is_consistent():
     assert b.counts() == series_to_ints(b.s)
     for ps in (b.m, b.l, b.r, b.s, *b.mi):
         assert all(type(c) is int for c in ps.coeffs)
+
+
+@pytest.mark.parametrize(
+    "bad_call, message",
+    [(0, "M_1 disagrees with P_1"), (1, "M_1...M_2 disagrees with P_2"),
+     (2, "two routes to S"), (3, "two routes to S"), (4, "two routes to S")],
+)
+def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, bad_call, message):
+    # at p=3 the divisions run M_1, M_2, L, R, S; spoil the last coefficient
+    # of one of them and the check downstream of it must fire
+    div = PowerSeries.__truediv__
+    calls = []
+
+    def spoiled_div(self, other):
+        q = div(self, other)
+        calls.append(1)
+        if len(calls) == bad_call + 1:
+            q = q + PowerSeries.from_coeffs([0] * (q.order - 1) + [1])
+        return q
+
+    monkeypatch.setattr(PowerSeries, "__truediv__", spoiled_div)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        positive_growth_series(3, 12)
 
 
 def test_order_zero_has_no_bundle():
