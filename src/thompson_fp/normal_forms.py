@@ -10,12 +10,23 @@ terminating) over the full generating set:
 A word is irreducible iff every adjacent pair (x_a^e, x_b^f) satisfies one of
 a < b;  a == b and e == f;  0 < a - b < p and f == -1.
 
-to_infinite_nf always rewrites the leftmost reducible pair, in one
-left-to-right pass over a list rewritten in place: after a rewrite at
-position k only the pair at k - 1 can have become reducible on the left, so
-the pass steps back one place.  It checks O(len + steps) pairs, where steps
-is the number of rewrites, at most step_budget(len) since each pair of
-letters swaps at most once.
+to_infinite_nf always rewrites the leftmost reducible pair, in insertion
+form.  It keeps the irreducible prefix as two int lists, indices and signs,
+and takes the rest of the word one letter b at a time.  No pair inside the
+prefix is reducible, so the leftmost reducible pair always ends in b, and b
+moves left, one rewrite per letter, past the run of letters it pushes past:
+index > b's for a positive b, index >= b's + p for a negative b.  Each of
+them is shifted by p - 1, up for a positive b and down for a negative one.
+The rules read only index differences and signs, so the shifted run stays
+irreducible inside, and it starts above b.  Where the run ends, b is
+inserted, or it cancels with the letter there, x_b^-e.  A cancel sets off
+nothing further: that letter's left neighbour has index at most b + p - 1
+(b positive) or b (b negative), below the shifted run's first letter, which
+is at least b + p or b + 1.  A rewrite costs one int comparison in the scan
+and one slot of a slice assignment, so the whole costs O(len + steps), where
+steps, the number of rewrites, is at most step_budget(len) since each pair
+of letters swaps at most once.  The budget is charged per run, and Letters
+are built once, at the end.
 
 Finite-alphabet normal form.  The bar map rewrites x_j^e (j >= 1, writing
 j = r + d(p-1) with 1 <= r <= p-1) as x_0^-d x_r^e x_0^d and then cancels
@@ -51,6 +62,13 @@ class NotInLanguageError(ValueError):
 CANCEL = "cancel"
 PUSH_POS = "push-positive"
 PUSH_NEG = "push-negative"
+
+# The longest finite normal form bar builds.  Its size is not bounded by the
+# input's: x_j alone becomes 2d + 1 letters with d about j / (p - 1), and a
+# tuple of 10**7 letters already holds 80 MB of references.
+BAR_LENGTH_LIMIT = 10**7
+
+_X0, _X0_INV = Letter(0, 1), Letter(0, -1)
 
 
 def _rule_at(p: int, w: Sequence[Letter], k: int) -> Optional[str]:
@@ -96,24 +114,43 @@ def to_infinite_nf(
 ) -> Word:
     """Rewrite to the irreducible form, applying at each step the rule at the
     leftmost applicable position (cancel > push-negative > push-positive,
-    though no two rules ever apply to the same pair)."""
+    though no two rules ever apply to the same pair).  A trace gets one
+    entry per rewrite: when b crosses a run of r letters at the end of a
+    prefix of length m, the run's rule at positions m - 1 down to m - r, then
+    a cancel at m - r - 1 if b cancels."""
     _check_p(p)
-    w = list(word)
+    w = tuple(word)
     budget = step_budget(len(w))
-    k = 0
-    while k < len(w) - 1:
-        rule = _rule_at(p, w, k)
-        if rule is None:
-            k += 1
-            continue
-        if budget == 0:
+    idx: list[int] = []  # the irreducible prefix, as indices and signs
+    sgn: list[int] = []
+    for b, e in w:
+        m = j = len(idx)
+        if e > 0:
+            while j and idx[j - 1] > b:
+                j -= 1
+            shift, rule = p - 1, PUSH_POS
+        else:
+            top = b + p
+            while j and idx[j - 1] >= top:
+                j -= 1
+            shift, rule = 1 - p, PUSH_NEG
+        cancels = j > 0 and idx[j - 1] == b and sgn[j - 1] == -e
+        steps = m - j + cancels
+        if steps > budget:
             raise RuntimeError("rewriting exceeded its step budget; system is broken")
-        budget -= 1
-        _apply(w, k, rule, p)
+        budget -= steps
+        if j < m:
+            idx[j:m] = [i + shift for i in idx[j:m]]
         if trace is not None:
-            trace.append({"rule": rule, "position": k})
-        k = max(k - 1, 0)
-    return tuple(w)
+            trace.extend({"rule": rule, "position": k} for k in range(m - 1, j - 1, -1))
+            if cancels:
+                trace.append({"rule": CANCEL, "position": j - 1})
+        if cancels:
+            del idx[j - 1], sgn[j - 1]
+        else:
+            idx.insert(j, b)
+            sgn.insert(j, e)
+    return tuple(map(Letter, idx, sgn))
 
 
 def rewrite_random(p: int, word: Iterable[Letter], rng: random.Random) -> Word:
@@ -139,25 +176,38 @@ def rewrite_random(p: int, word: Iterable[Letter], rng: random.Random) -> Word:
 
 def bar(p: int, word: Iterable[Letter]) -> Word:
     """Push every x_j^e (j >= 1) down to the finite alphabet via
-    x_j^e -> x_0^-d x_r^e x_0^d, then cancel adjacent x_0 pairs."""
+    x_j^e -> x_0^-d x_r^e x_0^d, then cancel adjacent x_0 pairs.
+
+    The letters of index >= 1 are never cancelled, so between two of them
+    (and at either end) the result is x_0^net, where net adds up the x_0
+    letters there and the two conjugating powers.  One pass collects the
+    nets; the image has len(letters) + sum(|net|) letters, and past
+    BAR_LENGTH_LIMIT a ValueError is raised before any of them is built."""
     _check_p(p)
-    expanded: list[Letter] = []
-    for a in word:
-        j, sign = a
+    letters: list[Letter] = []
+    nets: list[int] = []  # the x_0 power before each of letters, then the last one
+    net = 0
+    for j, sign in word:
         if j == 0:
-            expanded.append(a)
+            net += sign
             continue
         r = (j - 1) % (p - 1) + 1
         d = (j - r) // (p - 1)
-        expanded.extend([Letter(0, -1)] * d)
-        expanded.append(Letter(r, sign))
-        expanded.extend([Letter(0, 1)] * d)
+        nets.append(net - d)
+        letters.append(Letter(r, sign))
+        net = d
+    nets.append(net)
+    length = len(letters) + sum(map(abs, nets))
+    if length > BAR_LENGTH_LIMIT:
+        raise ValueError(
+            f"the finite normal form has {length} letters, "
+            f"more than BAR_LENGTH_LIMIT = {BAR_LENGTH_LIMIT}"
+        )
     out: list[Letter] = []
-    for a in expanded:
-        if out and a[0] == 0 and out[-1][0] == 0 and out[-1][1] == -a[1]:
-            out.pop()
-        else:
-            out.append(a)
+    for net, a in zip(nets, letters):
+        out.extend([_X0 if net > 0 else _X0_INV] * abs(net))
+        out.append(a)
+    out.extend([_X0 if nets[-1] > 0 else _X0_INV] * abs(nets[-1]))
     return tuple(out)
 
 

@@ -114,6 +114,15 @@ def test_normalize_trace(capsys):
     assert payload["trace"][-1]["rule"] == "bar"
 
 
+def test_normalize_refuses_a_huge_finite_form(capsys):
+    # bar of x_j has about 2j / (p - 1) letters; the CLI must refuse before
+    # building them
+    code = run(["normalize", "--p", "2", "--form", "fin", "x1000000000000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "1999999999999 letters" in err and "BAR_LENGTH_LIMIT" in err
+
+
 def test_length_with_classes(capsys):
     code, payload = _run_json(capsys, ["length", "--p", "2", "--classes", "x2"])
     assert code == 0

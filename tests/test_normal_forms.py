@@ -4,8 +4,10 @@ import random
 import pytest
 
 from thompson_fp.diagrams import equal, evaluate
+import thompson_fp.normal_forms as nf_mod
 from thompson_fp.normal_forms import (
     CANCEL,
+    PUSH_NEG,
     PUSH_POS,
     NotInLanguageError,
     _rule_at,
@@ -94,12 +96,26 @@ def test_step_budget_formula():
 
 
 def test_step_budget_bounds_the_rewriting(monkeypatch):
-    import thompson_fp.normal_forms as nf_mod
-
     monkeypatch.setattr(nf_mod, "step_budget", lambda n: 1)
     assert to_infinite_nf(2, parse_word("x2 x0")) == parse_word("x0 x3")
     with pytest.raises(RuntimeError, match="step budget"):
         to_infinite_nf(2, parse_word("x1 x2 x0"))
+
+
+def test_step_budget_counts_every_step_of_a_run(monkeypatch):
+    # x1^-1 pushes past the run x3 x4 x5 one letter at a time, then cancels
+    # with x1: four steps, all charged to the budget
+    w = parse_word("x1 x3 x4 x5 x1^-1")
+    trace = []
+    assert to_infinite_nf(2, w, trace) == parse_word("x2 x3 x4")
+    assert trace == [{"rule": PUSH_NEG, "position": k} for k in (3, 2, 1)] + [
+        {"rule": CANCEL, "position": 0}
+    ]
+    monkeypatch.setattr(nf_mod, "step_budget", lambda n: len(trace))
+    assert to_infinite_nf(2, w) == parse_word("x2 x3 x4")
+    monkeypatch.setattr(nf_mod, "step_budget", lambda n: len(trace) - 1)
+    with pytest.raises(RuntimeError, match="step budget"):
+        to_infinite_nf(2, w)
 
 
 def test_trace_records_rules():
@@ -127,17 +143,104 @@ def _leftmost_reference(p, word):
         trace.append({"rule": rule, "position": k})
 
 
-def test_trace_is_the_leftmost_strategy():
+def _seeded_words(seed, p, count, max_len, index_bound, positive):
+    """count words of up to max_len letters with indices 0..index_bound;
+    signs are fair coins unless the word is positive."""
+    rng = random.Random(seed)
+    return [
+        tuple(
+            Letter(rng.randint(0, index_bound), 1 if positive or rng.random() < 0.5 else -1)
+            for _ in range(rng.randint(0, max_len))
+        )
+        for _ in range(count)
+    ]
+
+
+def _trace_cases():
+    """(p, word) pairs: short words, words up to 120 letters, and signed
+    words over indices 0..p+1, where cancels follow long runs and come in
+    chains."""
     rng = random.Random(17)
     for p in (2, 3, 5):
         for positive in (True, False):
             for _ in range(25):
-                w = tuple(
+                yield p, tuple(
                     Letter(rng.randint(0, 3 * p), 1 if positive or rng.random() < 0.5 else -1)
                     for _ in range(rng.randint(0, 40))
                 )
-                trace = []
-                assert (to_infinite_nf(p, w, trace), trace) == _leftmost_reference(p, w), (p, w)
+    for p in (2, 3, 5):
+        for positive in (True, False):
+            for w in _seeded_words(100 + p, p, 3, 120, 3 * p, positive):
+                yield p, w
+        for w in _seeded_words(200 + p, p, 40, 60, p + 1, False):
+            yield p, w
+
+
+def _cancels_after_runs(trace, run):
+    """How many cancels in a trace come right after one letter's pushes past
+    `run` letters, at the positions just above the cancel's."""
+    count = 0
+    for i in range(run, len(trace)):
+        pos = trace[i]["position"]
+        count += trace[i]["rule"] == CANCEL and any(
+            trace[i - run:i] == [{"rule": rule, "position": pos + k} for k in range(run, 0, -1)]
+            for rule in (PUSH_POS, PUSH_NEG)
+        )
+    return count
+
+
+def test_trace_is_the_leftmost_strategy():
+    long_runs_then_cancel = 0
+    for p, w in _trace_cases():
+        trace = []
+        assert (to_infinite_nf(p, w, trace), trace) == _leftmost_reference(p, w), (p, w)
+        long_runs_then_cancel += _cancels_after_runs(trace, 3)
+    assert long_runs_then_cancel > 20
+
+
+def _bar_reference(p, word):
+    """Expand every x_j^e (j >= 1) into x_0^-d x_r^e x_0^d, then cancel
+    adjacent x_0 pairs with a stack pass."""
+    expanded = []
+    for a in word:
+        j, sign = a
+        if j == 0:
+            expanded.append(a)
+            continue
+        r = (j - 1) % (p - 1) + 1
+        d = (j - r) // (p - 1)
+        expanded.extend([Letter(0, -1)] * d)
+        expanded.append(Letter(r, sign))
+        expanded.extend([Letter(0, 1)] * d)
+    out = []
+    for a in expanded:
+        if out and a[0] == 0 and out[-1][0] == 0 and out[-1][1] == -a[1]:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def test_bar_matches_the_expand_then_cancel_reference():
+    for p in (2, 3, 5):
+        words = _seeded_words(300 + p, p, 60, 30, 3 * p, False)
+        words += _seeded_words(400 + p, p, 30, 30, p, False)  # dense in x_0^±1
+        words += _seeded_words(100 + p, p, 3, 120, 3 * p, True)
+        words += [to_infinite_nf(p, w) for w in words]
+        for w in words:
+            assert bar(p, w) == _bar_reference(p, w), (p, w)
+
+
+def test_bar_refuses_an_image_past_the_length_limit(monkeypatch):
+    # x3 at p=2 is x0^-2 x1 x0^2: five letters
+    monkeypatch.setattr(nf_mod, "BAR_LENGTH_LIMIT", 5)
+    assert len(bar(2, parse_word("x3"))) == 5
+    monkeypatch.setattr(nf_mod, "BAR_LENGTH_LIMIT", 4)
+    with pytest.raises(ValueError, match="has 5 letters, more than BAR_LENGTH_LIMIT = 4"):
+        bar(2, parse_word("x3"))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="has 1999999999999 letters"):
+        finite_nf(2, parse_word("x1000000000000"))
 
 
 def test_bar_small_indices_fixed():
