@@ -53,7 +53,6 @@ class CountingAutomaton:
     p: int
     states: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]  # matrix[i][j]: letters from i to j
-    semantics: tuple[tuple[str, str], ...]  # (state, suffix class described)
 
     @property
     def start(self) -> int:
@@ -97,14 +96,7 @@ def build_automaton(p: int) -> CountingAutomaton:
 
     mat[index["qbar"]][index["qbar"]] = 1
 
-    semantics = (
-        ("q", "the empty word"),
-        ("q0", "ends with x0^-1 or is a run of x0 letters"),
-        *((f"q{i}", f"ends with x{i} or x{i}^-1") for i in range(1, p)),
-        *((f"q{i},0", f"ends with x{i}^+-1 x0") for i in range(1, p)),
-        ("qbar", "ends with x_i^+-1 x0^k, k >= 2"),
-    )
-    return CountingAutomaton(p, tuple(states), tuple(tuple(r) for r in mat), semantics)
+    return CountingAutomaton(p, tuple(states), tuple(tuple(r) for r in mat))
 
 
 def _walk(aut: CountingAutomaton) -> Iterator[list[int]]:

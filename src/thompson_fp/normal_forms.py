@@ -68,6 +68,10 @@ PUSH_NEG = "push-negative"
 # tuple of 10**7 letters already holds 80 MB of references.
 BAR_LENGTH_LIMIT = 10**7
 
+# The most entries a rule trace may hold.  A trace has one dict per rewrite,
+# and a positive word of n letters can take about n**2 / 2 rewrites.
+TRACE_LENGTH_LIMIT = 10**6
+
 _X0, _X0_INV = Letter(0, 1), Letter(0, -1)
 
 
@@ -94,6 +98,13 @@ def _apply(w: list, k: int, rule: str, p: int) -> None:
         w[k], w[k + 1] = b, Letter(a[0] - (p - 1), a[1])
 
 
+def _check_trace_room(trace: list, entries: int) -> None:
+    if len(trace) + entries > TRACE_LENGTH_LIMIT:
+        raise ValueError(
+            f"the rule trace would pass TRACE_LENGTH_LIMIT = {TRACE_LENGTH_LIMIT} entries"
+        )
+
+
 def step_budget(word_len: int) -> int:
     """Upper bound on rewriting steps: each unordered letter pair swaps at
     most once and each cancellation removes two letters."""
@@ -117,7 +128,8 @@ def to_infinite_nf(
     though no two rules ever apply to the same pair).  A trace gets one
     entry per rewrite: when b crosses a run of r letters at the end of a
     prefix of length m, the run's rule at positions m - 1 down to m - r, then
-    a cancel at m - r - 1 if b cancels."""
+    a cancel at m - r - 1 if b cancels.  A ValueError is raised before
+    the trace would grow past TRACE_LENGTH_LIMIT entries."""
     _check_p(p)
     w = tuple(word)
     budget = step_budget(len(w))
@@ -142,6 +154,7 @@ def to_infinite_nf(
         if j < m:
             idx[j:m] = [i + shift for i in idx[j:m]]
         if trace is not None:
+            _check_trace_room(trace, steps)
             trace.extend({"rule": rule, "position": k} for k in range(m - 1, j - 1, -1))
             if cancels:
                 trace.append({"rule": CANCEL, "position": j - 1})
@@ -309,5 +322,6 @@ def finite_nf(p: int, word: Iterable[Letter], trace: Optional[list] = None) -> W
     """Canonical finite-alphabet form: bar applied to the irreducible form."""
     w = to_infinite_nf(p, word, trace)
     if trace is not None:
+        _check_trace_room(trace, 1)
         trace.append({"rule": "bar", "position": 0})
     return bar(p, w)

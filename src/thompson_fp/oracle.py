@@ -11,8 +11,10 @@ meaningful evidence:
     growth counts.  enumerate_middle_by_weight histograms the same
     walk's list of hanging middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
-    generators x_0^±1 .. x_{p-1}^±1, elements keyed by their serialized
-    reduced diagram -> word lengths and sphere sizes.
+    generators x_0^±1 .. x_{p-1}^±1, one record per element: its reduced
+    diagram mapped to a geodesic word -> word lengths and sphere sizes.
+    It counts the elements as it finds them and refuses a ball of more
+    than BALL_SIZE_LIMIT.
   * bfs_positive_monoid / enumerate_infinite_nf: word corpora for the
     normal-form round-trip checks.
   * verify_suite: runs every cross-check and collects failures.
@@ -196,60 +198,55 @@ def enumerate_middle_by_weight(p: int, i: int, max_weight: int) -> tuple[int, ..
 
 @dataclass(frozen=True)
 class BallStats:
+    """The ball of a radius in F(p), one record per element: `elements` maps
+    each reduced pair to a geodesic word for it, the first the BFS found,
+    whose length is the element's distance from the identity."""
+
     p: int
     radius: int
     sphere_sizes: tuple[int, ...]  # index r: elements at distance exactly r
-    elements: dict[str, int]  # serialized reduced pair -> distance
-    representatives: dict[str, TreePair] = field(repr=False)
-    witness_words: dict[str, Word] = field(repr=False)
+    elements: dict[TreePair, Word] = field(repr=False)
 
     @property
     def ball_sizes(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.sphere_sizes:
-            acc += s
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.sphere_sizes))
 
 
 def bfs_group_ball(p: int, radius: int) -> BallStats:
-    """Breadth-first search of the ball of the given radius in F(p)."""
+    """Breadth-first search of the ball of the given radius in F(p).  Sphere
+    r is the set of new elements among the products of sphere r - 1 with
+    the 2p generators.  Every element is counted as it is found, and the
+    one past BALL_SIZE_LIMIT raises EnumerationGuardError, so the work is
+    bounded by the limit's worth of elements and their products."""
     _check_p(p)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    # The ball of the free group on the 2p moves bounds the ball from above.
-    bound = 1 + sum(2 * p * (2 * p - 1) ** (k - 1) for k in range(1, radius + 1))
-    if bound > BALL_SIZE_LIMIT:
-        raise EnumerationGuardError(
-            f"ball size bound {bound} exceeds {BALL_SIZE_LIMIT}"
-        )
     moves = []
     for i in range(p):
         g = diagrams.generator_pair(p, i)
         moves.append((g, Letter(i, 1)))
         moves.append((diagrams.invert(g), Letter(i, -1)))
     start = diagrams.identity(p)
-    key0 = start.serialize()
-    elements = {key0: 0}
-    representatives = {key0: start}
-    witness_words: dict[str, Word] = {key0: ()}
+    elements: dict[TreePair, Word] = {start: ()}
     spheres = [1]
-    frontier = [(start, ())]
-    for r in range(1, radius + 1):
+    frontier = [start]
+    for _ in range(radius):
         nxt = []
-        for el, w in frontier:
+        for el in frontier:
+            w = elements[el]
             for g, letter in moves:
                 e2 = diagrams.compose(el, g)
-                k = e2.serialize()
-                if k not in elements:
-                    elements[k] = r
-                    representatives[k] = e2
-                    w2 = w + (letter,)
-                    witness_words[k] = w2
-                    nxt.append((e2, w2))
+                if e2 not in elements:
+                    elements[e2] = w + (letter,)
+                    nxt.append(e2)
+                    if len(elements) > BALL_SIZE_LIMIT:
+                        raise EnumerationGuardError(
+                            f"the ball of radius {radius} has more than "
+                            f"BALL_SIZE_LIMIT = {BALL_SIZE_LIMIT} elements; lower the radius"
+                        )
         spheres.append(len(nxt))
         frontier = nxt
-    return BallStats(p, radius, tuple(spheres), elements, representatives, witness_words)
+    return BallStats(p, radius, tuple(spheres), elements)
 
 
 def bfs_positive_monoid(p: int, max_len: int, index_bound: int) -> list[Word]:
@@ -371,34 +368,27 @@ def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
         f"{cfg['words']} random words; strategy mismatches={mism}, unsound={unsound}",
     )
 
-    # BFS ball, Fordham lengths, finite normal form injectivity.
+    # BFS ball, Fordham lengths, finite normal form injectivity, in one pass.
     ball = bfs_group_ball(p, cfg["radius"])
     mismatches = []
-    for key, dist in ball.elements.items():
-        el = ball.representatives[key]  # reduced, as compose returns it
-        if diagrams.is_right_spine(p, el.target):
-            if fordham.positive_length(p, el) != dist:
-                mismatches.append(key)
+    finite_forms: set[Word] = set()
+    not_preserving = 0
+    not_in_lang = 0
+    for el, w in ball.elements.items():
+        if diagrams.is_right_spine(p, el.target) and fordham.positive_length(p, el) != len(w):
+            mismatches.append(str(el))
+        nf = normal_forms.finite_nf(p, w)
+        if not normal_forms.is_in_Lp(p, nf):
+            not_in_lang += 1
+        finite_forms.add(nf)
+        if not diagrams.equal(diagrams.evaluate(p, nf), el):
+            not_preserving += 1
+    collisions = len(ball.elements) - len(finite_forms)
     record(
         "fordham-vs-bfs",
         not mismatches,
         f"radius {cfg['radius']}: ball {len(ball.elements)}, mismatches={mismatches[:3]}",
     )
-
-    seen: dict[Word, str] = {}
-    collisions = 0
-    not_preserving = 0
-    not_in_lang = 0
-    for key, w in ball.witness_words.items():
-        nf = normal_forms.finite_nf(p, w)
-        if not normal_forms.is_in_Lp(p, nf):
-            not_in_lang += 1
-        other = seen.get(nf)
-        if other is not None and other != key:
-            collisions += 1
-        seen[nf] = key
-        if not diagrams.equal(diagrams.evaluate(p, nf), ball.representatives[key]):
-            not_preserving += 1
     record(
         "finite-nf-injective",
         collisions == 0 and not_preserving == 0 and not_in_lang == 0,

@@ -75,11 +75,10 @@ def test_criterion_3_fordham_length_equals_bfs_distance():
             ball = oracle.bfs_group_ball(p, 5)
             positives = 0
             mismatches = 0
-            for key, dist in ball.elements.items():
-                el = ball.representatives[key]
+            for el, w in ball.elements.items():
                 if diagrams.is_positive(el):
                     positives += 1
-                    if fordham.positive_length(p, el) != dist:
+                    if fordham.positive_length(p, el) != len(w):
                         mismatches += 1
             assert mismatches == 0, f"p={p}: {mismatches} mismatches"
             parts.append(f"p={p} ball {len(ball.elements)}, positives {positives}")
@@ -177,12 +176,12 @@ def test_criterion_7_normal_form_soundness_uniqueness():
         for p in (2, 3):
             ball = oracle.bfs_group_ball(p, 4)
             seen: dict = {}
-            for key, w in ball.witness_words.items():
+            for key, w in ball.elements.items():
                 nf = normal_forms.finite_nf(p, w)
                 assert normal_forms.is_in_Lp(p, nf), (p, key)
                 assert seen.setdefault(nf, key) == key, f"collision at {key}"
                 assert diagrams.equal(
-                    diagrams.evaluate(p, nf), ball.representatives[key]
+                    diagrams.evaluate(p, nf), key
                 ), (p, key)
             parts.append(f"p={p} injective on {len(ball.elements)} elements")
         return "3x10^4 confluence samples; bijection exhaustive; " + "; ".join(parts)

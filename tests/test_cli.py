@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from thompson_fp import normal_forms
 from thompson_fp.cli import build_parser, run
 
 
@@ -121,6 +122,18 @@ def test_normalize_refuses_a_huge_finite_form(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "1999999999999 letters" in err and "BAR_LENGTH_LIMIT" in err
+
+
+def test_normalize_refuses_a_trace_past_the_limit(capsys, monkeypatch):
+    argv = ["normalize", "--p", "2", "--form", "inf", "--trace", "x1 x3 x4 x5 x1^-1"]
+    monkeypatch.setattr(normal_forms, "TRACE_LENGTH_LIMIT", 4)
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and len(payload["trace"]) == 4
+    monkeypatch.setattr(normal_forms, "TRACE_LENGTH_LIMIT", 3)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "TRACE_LENGTH_LIMIT = 3" in captured.err
 
 
 def test_length_with_classes(capsys):

@@ -118,6 +118,21 @@ def test_step_budget_counts_every_step_of_a_run(monkeypatch):
         to_infinite_nf(2, w)
 
 
+def test_trace_length_limit(monkeypatch):
+    # x1^-1 crosses the run x3 x4 x5 and cancels with x1: four entries, and
+    # finite_nf adds a fifth for bar
+    w = parse_word("x1 x3 x4 x5 x1^-1")
+    for limit, normalize in ((4, to_infinite_nf), (5, finite_nf)):
+        monkeypatch.setattr(nf_mod, "TRACE_LENGTH_LIMIT", limit)
+        trace = []
+        normalize(2, w, trace)
+        assert len(trace) == limit
+        monkeypatch.setattr(nf_mod, "TRACE_LENGTH_LIMIT", limit - 1)
+        with pytest.raises(ValueError, match=f"TRACE_LENGTH_LIMIT = {limit - 1}"):
+            normalize(2, w, [])
+        normalize(2, w)  # the limit bounds only a trace
+
+
 def test_trace_records_rules():
     trace = []
     to_infinite_nf(2, parse_word("x2 x0"), trace)

@@ -5,7 +5,7 @@ import pytest
 
 from thompson_fp import fordham, oracle
 from thompson_fp.cli import run
-from thompson_fp.diagrams import num_carets, num_leaves, parse_tree
+from thompson_fp.diagrams import evaluate, num_carets, num_leaves, parse_tree
 from thompson_fp.oracle import (
     EnumerationGuardError,
     bfs_group_ball,
@@ -187,15 +187,19 @@ def test_bfs_ball_f2():
     stats = bfs_group_ball(2, 3)
     assert list(stats.sphere_sizes) == [1, 4, 12, 36]
     assert list(stats.ball_sizes) == [1, 5, 17, 53]
-    # witness words really have the BFS length
-    for key, dist in itertools.islice(stats.elements.items(), 20):
-        assert len(stats.witness_words[key]) == dist
+    # each witness word evaluates to the element it is recorded for
+    for pair, w in itertools.islice(stats.elements.items(), 20):
+        assert evaluate(2, w) == pair
 
 
-def test_bfs_ball_guard():
-    # radius 14 slipped past a guard that estimated the ball as xi(p)^r
-    for radius in (14, 25):
-        with pytest.raises(EnumerationGuardError):
+def test_bfs_ball_guard(monkeypatch):
+    # The guard counts elements: a limit of exactly |B(5)| = 475 at p=2
+    # admits radius 5 and stops every larger radius, however far past the
+    # limit it would go.
+    monkeypatch.setattr(oracle, "BALL_SIZE_LIMIT", 475)
+    assert bfs_group_ball(2, 5).ball_sizes[-1] == 475
+    for radius in (6, 14, 25):
+        with pytest.raises(EnumerationGuardError, match=f"radius {radius} .*BALL_SIZE_LIMIT = 475"):
             bfs_group_ball(2, radius)
 
 
