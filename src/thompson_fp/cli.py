@@ -263,7 +263,8 @@ def _cmd_length(args) -> int:
 
 def _cmd_equal(args) -> int:
     w1, w2 = parse_word(args.word1), parse_word(args.word2)
-    same = diagrams.equal(diagrams.evaluate(args.p, w1), diagrams.evaluate(args.p, w2))
+    # Reduced diagrams are unique, so equal elements have equal strings.
+    same = diagrams.evaluate(args.p, w1) == diagrams.evaluate(args.p, w2)
     _emit_json({
         "schema": SCHEMA, "command": "equal", "p": args.p,
         "word1": format_word(w1), "word2": format_word(w2), "equal": same,

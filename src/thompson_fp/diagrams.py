@@ -13,12 +13,47 @@ A tree is its preorder string: "C" followed by the p children for a caret,
 builds these strings with str methods and explicit loops, so no tree is too
 deep to handle: a subtree is a slice, the k-th leaf is the k-th "L", and an
 exposed caret is an occurrence of "C" followed by p "L".
+
+`compose` and `reduce` multiply and reduce whole pairs.  `evaluate` and the
+Cayley-ball search in `oracle` multiply only by one generator at a time, and
+do it by a local surgery on the two strings of a reduced pair (S, T)
+(`_times_generator`).  Number the carets on the right spine of T from 1 at
+the root, and let k = n // (p-1) + 1 and r = n mod (p-1), so that the source
+of x_n is R_k with a caret at child r of spine caret k.
+
+* Refinement.  The product needs T to contain that source (for x_n) or R_{k+1}
+  (for x_n^-1).  A caret T lacks is added to both trees at the same leaf,
+  which does not change the element.  A missing spine caret hangs at the last
+  leaf, the last character of both strings; a missing caret at child r of
+  spine caret k hangs at some leaf m, which a galloping str.count finds in S
+  (`_leaf_at`).
+* Rotation.  Below spine caret k hang 2p - 1 pieces: its first p - 1
+  children, with child r opened into its p children, and its rightmost
+  subtree.  x_n hangs them again as p - 1 under caret k and p under a new
+  spine caret k + 1; in the string this moves one "C", from child r to the
+  start of piece p - 1.  x_n^-1 is the inverse move, of spine caret k + 1 to
+  child r.  S is untouched, and the leaves of T keep their order.
+* Reduction.  Only the moved caret of T can now be reduced, against the
+  caret of S over the same leaves.  Every other caret of T with only leaf
+  children lies inside a piece (the spine carets down to k each have a caret
+  child), so it is an old caret over the same leaves as before the rotation.
+  It cannot match an old caret of S, since (S, T) was reduced and refinement
+  renumbers the leaves of both trees alike.  Nor can it match a caret that
+  refinement added to S: the twin added to T with that caret has the same
+  leaves, and a leaf has only one parent.  (When x_n refines child r, not
+  even the moved caret reduces: its first leaf is child p - 1 - r > 0 of the
+  new caret in S.)  Removing a matched pair turns each caret into one leaf
+  a.  A pair that matches only afterwards has a caret newly stripped to
+  leaves, which spans leaf a, so both carets span leaf a and are its parents.
+  So the reduction climbs: while the parents of leaf a in the two trees
+  have only leaves below them and leaf a at the same child index, both are
+  removed; each test reads p characters on either side of the new leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce as _fold
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable
@@ -51,16 +86,32 @@ class PTree(str):
 LEAF = PTree("L")
 
 
-def _subtree_end(t: str, i: int, p: int) -> int:
-    """End of the subtree of t that starts at t[i].  While `need` subtrees
-    are open, the next `need` characters all lie in them, and their c carets
-    leave c*p subtrees open; one str.count reads each such run."""
-    need = 1
+def _subtree_end(t: str, i: int, p: int, need: int = 1) -> int:
+    """End of the `need` consecutive subtrees of t that start at t[i].  While
+    `need` subtrees are open, the next `need` characters all lie in them, and
+    their c carets leave c*p subtrees open; one str.count reads each such
+    run."""
     while need:
         c = t.count("C", i, i + need)
         i += need
         need = c * p
     return i
+
+
+def _leaf_at(t: str, m: int) -> int:
+    """Position of leaf m (counted from 0) in t.  The next `need` characters
+    hold at most the `need` leaves still to pass, so one str.count reads each
+    such run without overshooting; a run with no leaf is crossed by one
+    str.find."""
+    i, need = 0, m + 1
+    while need:
+        c = t.count("L", i, i + need)
+        if c:
+            i += need
+            need -= c
+        else:
+            i = t.find("L", i + need)
+    return i - 1
 
 
 def caret(children: Iterable[str]) -> PTree:
@@ -133,8 +184,8 @@ def right_spine(p: int, k: int) -> PTree:
     return PTree(("C" + "L" * (p - 1)) * k + "L")
 
 
-# Bounded: the workloads use a few dozen (p, n) pairs, and a long word with
-# ever larger indices would otherwise keep every one of its generators.
+# Bounded: the relations check and the test oracles build a few dozen (p, n)
+# pairs, and a caller looping over ever larger indices would keep them all.
 @lru_cache(maxsize=256)
 def generator_pair(p: int, n: int) -> TreePair:
     """The diagram of x_n: R_k with a caret at leaf n over R_{k+1}."""
@@ -161,7 +212,9 @@ def _interleave(parts: list[str], seps: Iterable[str]) -> str:
 
 
 def reduce(d: TreePair) -> TreePair:
-    """Remove carets exposed at the same leaf range in both trees.  Each
+    """Remove carets exposed at the same leaf range in both trees, for any
+    pair: the general path behind `compose` and `equal`, and the oracle for
+    the one-generator surgery of `evaluate`, which reduces locally.  Each
     round cuts both trees at their exposed carets, keys every cut by the
     number of leaves up to its end, and collapses the cuts the trees share;
     the counting runs in str methods and map, not in a Python loop."""
@@ -224,14 +277,82 @@ def compose(a: TreePair, b: TreePair) -> TreePair:
     return reduce(TreePair(p, source, target))
 
 
+def _times_generator(p: int, s: str, t: str, n: int, sign: int) -> tuple[str, str]:
+    """The reduced pair (s, t) times x_n^sign, as its two preorder strings:
+    the local surgery of the module docstring, refinement, one rotation and
+    at most one climb of caret removals."""
+    if n < 0:
+        raise ValueError(f"generator index must be >= 0, got {n}")
+    k = n // (p - 1) + 1
+    r = n % (p - 1)  # leaf n is child r of spine caret k
+    top = k if sign > 0 else k + 1  # the deepest spine caret the rotation needs
+    above, q, d = 0, 0, 1  # t[q] is spine caret d, t[above] the one above it
+    while d < top and t[q] == "C":
+        above, q = q, _subtree_end(t, q + 1, p, p - 1)
+        d += 1
+    grown = t[q] == "L"
+    if grown:  # the spine stops at depth d: grow it to `top` in both trees
+        grow = ("C" + "L" * (p - 1)) * (top - d + 1)
+        s, t = s[:-1] + grow + "L", t[:-1] + grow + "L"
+        if top > d:
+            above = q + (top - d - 1) * p
+            q = above + p
+    if sign > 0:
+        j = _subtree_end(t, q + 1, p, r)  # child r of spine caret k
+        if t[j] == "L":
+            # Give both trees a caret at this leaf, then rotate it into the
+            # spine: no caret pair can be reduced after that.  A grown leaf
+            # lies as far from the end of s as from the end of t.
+            i = len(s) - len(t) + j if grown else _leaf_at(s, t.count("L", 0, j))
+            s = s[:i] + "C" + "L" * p + s[i + 1:]
+            return s, t[:j] + "L" * (p - 1 - r) + "C" + "L" * (r + 1) + t[j + 1:]
+        # Move the caret at t[j] to the start of its child p - 1 - r: it
+        # becomes spine caret k + 1 over the last p of the 2p - 1 pieces.
+        b = _subtree_end(t, j + 1, p, p - 1 - r)
+        t = t[:j] + t[j + 1:b] + "C" + t[b:]
+        j = b - 1
+    else:
+        # Move spine caret k + 1 down to child r of spine caret k.
+        j = _subtree_end(t, above + 1, p, r)
+        t = t[:j] + "C" + t[j:q] + t[q + 1:]
+    # The moved caret is the only one that can now be reduced.
+    if not t.startswith("L" * p, j + 1):
+        return s, t
+    i = _leaf_at(s, t.count("L", 0, j)) - 1
+    if i < 0 or not s.startswith("C" + "L" * p, i):
+        return s, t
+    return _collapse(p, s, t, i, j)
+
+
+def _collapse(p: int, s: str, t: str, i: int, j: int) -> tuple[str, str]:
+    """Remove the exposed carets s[i:i+p+1] and t[j:j+p+1], which span the
+    same leaves, and then each pair of parents that this exposes over the
+    same leaves.  The removed part of each string is [i, hi), one caret that
+    has become one leaf; its parent is the last "C" at most p characters
+    before it, if the characters around it are leaves."""
+    hi_s, hi_t = i + p + 1, j + p + 1
+    while True:
+        a = s.rfind("C", max(i - p, 0), i)
+        b = t.rfind("C", max(j - p, 0), j)
+        if a < 0 or b < 0 or i - a != j - b:
+            break
+        rest = "L" * (p - i + a)  # the parent's children after the new leaf
+        if not (s.startswith(rest, hi_s) and t.startswith(rest, hi_t)):
+            break
+        hi_s += len(rest)
+        hi_t += len(rest)
+        i, j = a, b
+    return s[:i] + "L" + s[hi_s:], t[:j] + "L" + t[hi_t:]
+
+
 def evaluate(p: int, word: Iterable[Letter]) -> TreePair:
-    """Reduced diagram of a word, multiplying letters left to right."""
+    """Reduced diagram of a word, multiplying letters left to right, each by
+    one local surgery on the two strings."""
     _check_p(p)
-    gens = (
-        generator_pair(p, a.index) if a.sign > 0 else invert(generator_pair(p, a.index))
-        for a in word
-    )
-    return _fold(compose, gens, identity(p))
+    s = t = "L"
+    for n, sign in word:
+        s, t = _times_generator(p, s, t, n, sign)
+    return TreePair(p, PTree(s), PTree(t))
 
 
 def equal(a: TreePair, b: TreePair) -> bool:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from thompson_fp import diagrams, oracle
 from thompson_fp.diagrams import (
     LEAF,
     PTree,
@@ -217,3 +218,79 @@ def test_inverse_word_matches_invert():
     w = parse_word("x0 x2 x1^-1 x3")
     d = evaluate(2, w)
     assert equal(invert(d), evaluate(2, tuple(l.inverse() for l in reversed(w))))
+
+
+def _generator(p, n, sign):
+    g = generator_pair(p, n)
+    return g if sign > 0 else invert(g)
+
+
+def _surgery_words(p, rng):
+    """Seeded words of four kinds, as (index, sign) pairs."""
+    small = p + 2  # indices 0..p+1
+    words = []
+    for _ in range(4):
+        words.append([(rng.randrange(3 * p), 1) for _ in range(60)])
+        words.append([(rng.randrange(3 * p), rng.choice((1, -1))) for _ in range(60)])
+        # Cancellation-heavy: u, then u^-1 with a few letters slipped in.
+        u = [(rng.randrange(small), rng.choice((1, -1))) for _ in range(30)]
+        back = [(n, -sign) for n, sign in reversed(u)]
+        for _ in range(3):
+            back.insert(rng.randrange(len(back) + 1), (rng.randrange(small), rng.choice((1, -1))))
+        words.append(u + back)
+        # Indices past the target's spine, which make both trees grow there.
+        words.append([(rng.randrange(4 * p, 7 * p), rng.choice((1, -1))) if rng.random() < 0.3
+                      else (rng.randrange(small), rng.choice((1, -1))) for _ in range(40)])
+    return words
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+def test_one_generator_surgery_matches_compose_and_reduce(p):
+    # The oracle is the whole-tree product: reduce(compose(d, g)) per letter.
+    rng = random.Random(1500 + p)
+    grown = climbed = 0
+    for word in _surgery_words(p, rng):
+        d = identity(p)
+        for n, sign in word:
+            s, t = diagrams._times_generator(p, d.source, d.target, n, sign)
+            new = reduce(compose(d, _generator(p, n, sign)))
+            assert (s, t) == (new.source, new.target), (p, word, n, sign)
+            delta = num_carets(new.source) - num_carets(d.source)
+            grown += delta >= 2  # refinement added spine carets to both trees
+            climbed += delta <= -2  # the reduction removed more than one pair
+            d = new
+    assert grown and climbed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_word_times_its_inverse_is_the_identity(p):
+    rng = random.Random(500 + p)
+    for positive in (True, False):
+        w = tuple(Letter(rng.randrange(2 * p), 1 if positive or rng.random() < 0.5 else -1)
+                  for _ in range(500))
+        assert evaluate(p, w + tuple(a.inverse() for a in reversed(w))) == identity(p)
+        assert evaluate(p, w) != identity(p)
+
+
+def test_5000_letter_words_against_balanced_product():
+    rng = random.Random(5000)
+    for w in (
+        (Letter(0, 1),) * 5000,
+        tuple(Letter(rng.randrange(9), 1) for _ in range(5000)),
+        tuple(Letter(rng.randrange(9), rng.choice((1, -1))) for _ in range(5000)),
+    ):
+        expected = _balanced_product([_generator(3, *a) for a in w])
+        assert evaluate(3, w) == expected
+
+
+def test_letter_products_make_no_compose_or_reduce_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-tree compose or reduce called")
+
+    monkeypatch.setattr(diagrams, "compose", refuse)
+    monkeypatch.setattr(diagrams, "reduce", refuse)
+    assert evaluate(2, parse_word("x0 x1 x1^-1 x0^-1")) == identity(2)
+    # The pair the whole-tree product gives for this word.
+    assert evaluate(3, parse_word("x5^-1 x0 x7 x2^-1")).serialize() == "CCLLLLCLLL|CLLCCLLLLL"
+    assert evaluate(3, (Letter(0, 1),) * 1000).source == "C" * 1001 + "L" * 2003
+    assert oracle.bfs_group_ball(2, 4).sphere_sizes == (1, 4, 12, 36, 108)
