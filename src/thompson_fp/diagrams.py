@@ -53,7 +53,6 @@ of x_n is R_k with a caret at child r of spine caret k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable
@@ -184,9 +183,6 @@ def right_spine(p: int, k: int) -> PTree:
     return PTree(("C" + "L" * (p - 1)) * k + "L")
 
 
-# Bounded: the relations check and the test oracles build a few dozen (p, n)
-# pairs, and a caller looping over ever larger indices would keep them all.
-@lru_cache(maxsize=256)
 def generator_pair(p: int, n: int) -> TreePair:
     """The diagram of x_n: R_k with a caret at leaf n over R_{k+1}."""
     _check_p(p)

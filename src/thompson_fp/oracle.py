@@ -13,11 +13,12 @@ meaningful evidence:
   * bfs_group_ball: breadth-first search of the Cayley ball over the
     generators x_0^±1 .. x_{p-1}^±1, one record per element: its reduced
     diagram mapped to a geodesic word -> word lengths and sphere sizes.
-    It counts the elements as it finds them and refuses a ball of more
-    than BALL_SIZE_LIMIT.
+    It refuses a ball of more than BALL_SIZE_LIMIT: at once if the normal
+    forms up to the radius already pass it, else at the first element past it.
   * bfs_positive_monoid / enumerate_infinite_nf: word corpora for the
     normal-form round-trip checks.
-  * verify_suite: runs every cross-check and collects failures.
+  * verify_suite: one loop over _CHECKS, a table of named checks on one
+    shared _Run; a check that raises ArithmeticError fails with its message.
 """
 
 from __future__ import annotations
@@ -216,13 +217,22 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
     """Breadth-first search of the ball of the given radius in F(p).  Sphere
     r is the set of new elements among the products of sphere r - 1 with
     the 2p generators, each product one local surgery on the element's two
-    strings (`diagrams._times_generator`).  Every element is counted as it
-    is found, and the one past BALL_SIZE_LIMIT raises EnumerationGuardError,
-    so the work is bounded by the limit's worth of elements and their
-    products."""
+    strings (`diagrams._times_generator`).  Distinct words of L_p name
+    distinct elements, and one of length n lies in B(n), so the number of
+    words of L_p of length <= radius bounds |B(radius)| from below; if that
+    passes BALL_SIZE_LIMIT, EnumerationGuardError is raised before any
+    product.  Otherwise the element past the limit raises it, so the work is
+    bounded by the limit's worth of elements and their products."""
     _check_p(p)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    too_big = EnumerationGuardError(
+        f"the ball of radius {radius} has more than "
+        f"BALL_SIZE_LIMIT = {BALL_SIZE_LIMIT} elements; lower the radius"
+    )
+    walk = itertools.islice(automaton_mod._walk(automaton_mod.build_automaton(p)), radius + 1)
+    if any(n > BALL_SIZE_LIMIT for n in itertools.accumulate(map(sum, walk))):
+        raise too_big
     moves = [Letter(i, sign) for i in range(p) for sign in (1, -1)]
     times = diagrams._times_generator
     start = diagrams.identity(p)
@@ -240,10 +250,7 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
                     elements[e2] = w + (letter,)
                     nxt.append(e2)
                     if len(elements) > BALL_SIZE_LIMIT:
-                        raise EnumerationGuardError(
-                            f"the ball of radius {radius} has more than "
-                            f"BALL_SIZE_LIMIT = {BALL_SIZE_LIMIT} elements; lower the radius"
-                        )
+                        raise too_big
         spheres.append(len(nxt))
         frontier = nxt
     return BallStats(p, radius, tuple(spheres), elements)
@@ -324,150 +331,148 @@ _PROFILES = {
 }
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What the checks share; counts[n] = |L_p ∩ Σ^n| for n < lang_order."""
+
+    p: int
+    cfg: dict
+    rng: random.Random
+    ball: BallStats
+    counts: list[int]
+
+    def random_word(self, max_len: int) -> Word:
+        """A seeded word of length <= max_len over x_0^±1 .. x_{3p}^±1."""
+        rng, n = self.rng, self.rng.randint(0, max_len)
+        return tuple(Letter(rng.randint(0, 3 * self.p), rng.choice((1, -1))) for _ in range(n))
+
+
+def _relations(run: _Run) -> tuple[bool, str]:
+    p, g = run.p, [diagrams.generator_pair(run.p, n) for n in range(3 * run.p)]
+    bad = [
+        (i, j)
+        for i, j in itertools.combinations(range(2 * p + 1), 2)
+        if not diagrams.equal(diagrams.compose(g[j], g[i]), diagrams.compose(g[i], g[j + p - 1]))
+    ]
+    return not bad, f"x_j x_i = x_i x_(j+p-1) for 0<=i<j<=2p; bad={bad}"
+
+
+def _rewriting_confluence(run: _Run) -> tuple[bool, str]:
+    """Confluence, termination budget and soundness on diagrams, which
+    `evaluate` returns reduced, hence unique: `==` compares them."""
+    p, mism, unsound = run.p, 0, 0
+    for _ in range(run.cfg["words"]):
+        w = run.random_word(12)
+        nf = normal_forms.to_infinite_nf(p, w)
+        mism += normal_forms.rewrite_random(p, w, run.rng) != nf
+        unsound += len(w) <= 7 and diagrams.evaluate(p, w) != diagrams.evaluate(p, nf)
+    return mism == unsound == 0, (
+        f"{run.cfg['words']} random words; strategy mismatches={mism}, unsound={unsound}"
+    )
+
+
+def _fordham_vs_bfs(run: _Run) -> tuple[bool, str]:
+    """Ball elements are reduced, so a positive one weighs its source tree."""
+    p, ball = run.p, run.ball
+    bad = [
+        str(el)
+        for el, w in ball.elements.items()
+        if diagrams.is_right_spine(p, el.target) and fordham.tree_weight(p, el.source) != len(w)
+    ]
+    return not bad, f"radius {ball.radius}: ball {len(ball.elements)}, mismatches={bad[:3]}"
+
+
+def _finite_nf_injective(run: _Run) -> tuple[bool, str]:
+    p, elements = run.p, run.ball.elements
+    forms, not_preserving, not_in_lang = set(), 0, 0
+    for el, w in elements.items():
+        nf = normal_forms.finite_nf(p, w)
+        forms.add(nf)
+        not_in_lang += not normal_forms.is_in_Lp(p, nf)
+        not_preserving += diagrams.evaluate(p, nf) != el
+    collisions = len(elements) - len(forms)
+    return collisions == not_preserving == not_in_lang == 0, (
+        f"ball {len(elements)}: collisions={collisions}, "
+        f"eval mismatches={not_preserving}, outside L_p={not_in_lang}"
+    )
+
+
+def _bar_unbar_round_trip(run: _Run) -> tuple[bool, str]:
+    """The positive monoid box plus random words in infinite normal form."""
+    p, corpus = run.p, bfs_positive_monoid(run.p, 4, 2 * run.p)
+    half = run.cfg["words"] // 2
+    nfs = [normal_forms.to_infinite_nf(p, run.random_word(10)) for _ in range(half)]
+    bad = sum(normal_forms.unbar(p, normal_forms.bar(p, w)) != w for w in corpus + nfs)
+    return bad == 0, f"{len(corpus)} box words + random; bad={bad}"
+
+
+def _census_vs_series(run: _Run) -> tuple[bool, str]:
+    census = enumerate_positive_by_weight(run.p, run.cfg["census_w"]).counts
+    counts = tuple(series.positive_growth_series(run.p, run.cfg["census_w"] + 1).counts())
+    return census == counts, f"census={census} series={counts}"
+
+
+def _language_counts(run: _Run) -> tuple[bool, str]:
+    p, n, pc = run.p, run.cfg["lang_order"], run.counts
+    closed = pc == series.series_to_ints(automaton_mod.phi_series(p, n))
+    brute_ns = [k for k in range(n) if (2 * p) ** k <= 50_000]
+    brute = all(automaton_mod.count_language_bruteforce(p, k) == pc[k] for k in brute_ns)
+    return closed and brute, f"matrix==closed-form to n<{n}: {closed}; brute n={brute_ns}: {brute}"
+
+
+def _series_master_equation(run: _Run) -> tuple[bool, str]:
+    return series.check_eqonn(run.p, run.cfg["order"]).is_zero, f"order {run.cfg['order']}"
+
+
+def _rate_enclosures(run: _Run) -> tuple[bool, str]:
+    p = run.p
+    z, q, ratio = rates.zeta(p), rates.xi(p), run.counts[-1] / run.counts[-2]
+    ok = p < z.low and z.high < Fraction(2 * p + 1, 2) and abs(float(q.midpoint) - ratio) < 0.5
+    return ok, (
+        f"zeta in ({float(z.low):.9f},{float(z.high):.9f}); "
+        f"xi mid {float(q.midpoint):.9f} vs count ratio {ratio:.6f}"
+    )
+
+
+def _language_below_ball(run: _Run) -> tuple[bool, str]:
+    """Every normal form of length <= n names a distinct element of the
+    radius-n ball, so the cumulative language counts sit below gamma."""
+    gam, cumulative = run.ball.ball_sizes, list(itertools.accumulate(run.counts))
+    return all(c <= g for c, g in zip(cumulative, gam)), (
+        f"cumulative counts {cumulative[: len(gam)]} vs ball {list(gam)}"
+    )
+
+
+_CHECKS = (
+    ("relations", _relations),
+    ("rewriting-confluence", _rewriting_confluence),
+    ("fordham-vs-bfs", _fordham_vs_bfs),
+    ("finite-nf-injective", _finite_nf_injective),
+    ("bar-unbar-round-trip", _bar_unbar_round_trip),
+    ("census-vs-series", _census_vs_series),
+    ("language-counts", _language_counts),
+    ("series-master-equation", _series_master_equation),
+    ("rate-enclosures", _rate_enclosures),
+    ("language-below-ball", _language_below_ball),
+)
+
+
 def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
-    """Cross-validate every computational route; failures are collected, not
-    raised, so one broken invariant does not hide another."""
+    """Run the `_CHECKS` table in order on one `_Run`, whose ball and counts
+    are built once and whose `random.Random(seed)` draws every random word.
+    A check that raises ArithmeticError fails with its message and the rest
+    still run; any other exception, such as the ball guard's, propagates."""
     _check_p(p)
     if profile not in _PROFILES:
         raise ValueError(f"profile must be one of {sorted(_PROFILES)}, got {profile!r}")
     cfg = _PROFILES[profile]
-    rng = random.Random(seed)
-    checks: list[CheckResult] = []
-
-    def record(name: str, passed: bool, details: str = "") -> None:
+    counts = series.series_to_ints(sum(automaton_mod.state_series(p, cfg["lang_order"]).values()))
+    run = _Run(p, cfg, random.Random(seed), bfs_group_ball(p, cfg["radius"]), counts)
+    checks = []
+    for name, check in _CHECKS:
+        try:
+            passed, details = check(run)
+        except ArithmeticError as exc:
+            passed, details = False, str(exc)
         checks.append(CheckResult(name, bool(passed), details))
-
-    # Defining relations.
-    bad = [
-        (i, j)
-        for i in range(2 * p)
-        for j in range(i + 1, 2 * p + 1)
-        if not diagrams.equal(
-            diagrams.compose(diagrams.generator_pair(p, j), diagrams.generator_pair(p, i)),
-            diagrams.compose(
-                diagrams.generator_pair(p, i), diagrams.generator_pair(p, j + p - 1)
-            ),
-        )
-    ]
-    record("relations", not bad, f"x_j x_i = x_i x_(j+p-1) for 0<=i<j<=2p; bad={bad}")
-
-    # Rewriting: confluence, termination budget, soundness on diagrams.  The
-    # diagrams `evaluate` returns are reduced, hence unique: `==` compares them.
-    mism = 0
-    unsound = 0
-    for _ in range(cfg["words"]):
-        L = rng.randint(0, 12)
-        w = tuple(Letter(rng.randint(0, 3 * p), rng.choice((1, -1))) for _ in range(L))
-        nf = normal_forms.to_infinite_nf(p, w)
-        if normal_forms.rewrite_random(p, w, rng) != nf:
-            mism += 1
-        if L <= 7 and diagrams.evaluate(p, w) != diagrams.evaluate(p, nf):
-            unsound += 1
-    record(
-        "rewriting-confluence",
-        mism == 0 and unsound == 0,
-        f"{cfg['words']} random words; strategy mismatches={mism}, unsound={unsound}",
-    )
-
-    # BFS ball, Fordham lengths, finite normal form injectivity, in one pass.
-    ball = bfs_group_ball(p, cfg["radius"])
-    mismatches = []
-    finite_forms: set[Word] = set()
-    not_preserving = 0
-    not_in_lang = 0
-    for el, w in ball.elements.items():
-        if diagrams.is_right_spine(p, el.target) and fordham.positive_length(p, el) != len(w):
-            mismatches.append(str(el))
-        nf = normal_forms.finite_nf(p, w)
-        if not normal_forms.is_in_Lp(p, nf):
-            not_in_lang += 1
-        finite_forms.add(nf)
-        if diagrams.evaluate(p, nf) != el:
-            not_preserving += 1
-    collisions = len(ball.elements) - len(finite_forms)
-    record(
-        "fordham-vs-bfs",
-        not mismatches,
-        f"radius {cfg['radius']}: ball {len(ball.elements)}, mismatches={mismatches[:3]}",
-    )
-    record(
-        "finite-nf-injective",
-        collisions == 0 and not_preserving == 0 and not_in_lang == 0,
-        f"ball {len(ball.elements)}: collisions={collisions}, "
-        f"eval mismatches={not_preserving}, outside L_p={not_in_lang}",
-    )
-
-    # bar/unbar round trips on the positive monoid box plus random words.
-    bad_rt = 0
-    corpus = bfs_positive_monoid(p, 4, 2 * p)
-    for w in corpus:
-        if normal_forms.unbar(p, normal_forms.bar(p, w)) != w:
-            bad_rt += 1
-    for _ in range(cfg["words"] // 2):
-        L = rng.randint(0, 10)
-        w = normal_forms.to_infinite_nf(
-            p, tuple(Letter(rng.randint(0, 3 * p), rng.choice((1, -1))) for _ in range(L))
-        )
-        if normal_forms.unbar(p, normal_forms.bar(p, w)) != w:
-            bad_rt += 1
-    record("bar-unbar-round-trip", bad_rt == 0, f"{len(corpus)} box words + random; bad={bad_rt}")
-
-    # Census vs series.
-    census = enumerate_positive_by_weight(p, cfg["census_w"])
-    bundle = series.positive_growth_series(p, cfg["census_w"] + 1)
-    series_counts = tuple(bundle.counts())
-    record(
-        "census-vs-series",
-        census.counts == series_counts,
-        f"census={census.counts} series={series_counts}",
-    )
-
-    # Automaton triple agreement.
-    phi = automaton_mod.phi_series(p, cfg["lang_order"])
-    pc = series.series_to_ints(sum(automaton_mod.state_series(p, cfg["lang_order"]).values()))
-    agree_closed = pc == series.series_to_ints(phi)
-    brute_ns = [n for n in range(cfg["lang_order"]) if (2 * p) ** n <= 50_000]
-    agree_brute = all(
-        automaton_mod.count_language_bruteforce(p, n) == pc[n] for n in brute_ns
-    )
-    record(
-        "language-counts",
-        agree_closed and agree_brute,
-        f"matrix==closed-form to n<{cfg['lang_order']}: {agree_closed}; "
-        f"brute n={brute_ns}: {agree_brute}",
-    )
-
-    # Growth series residuals.
-    residual = series.check_eqonn(p, cfg["order"])
-    record("series-master-equation", residual.is_zero, f"order {cfg['order']}")
-
-    # Rates.
-    try:
-        z = rates.zeta(p)
-        q = rates.xi(p)
-        ok_bounds = p < z.low and z.high < Fraction(2 * p + 1, 2)
-        ratio = pc[cfg["lang_order"] - 1] / pc[cfg["lang_order"] - 2]
-        ok_xi = abs(float(q.midpoint) - ratio) < 0.5
-        record(
-            "rate-enclosures",
-            ok_bounds and ok_xi,
-            f"zeta in ({float(z.low):.9f},{float(z.high):.9f}); "
-            f"xi mid {float(q.midpoint):.9f} vs count ratio {ratio:.6f}",
-        )
-    except ArithmeticError as exc:
-        record("rate-enclosures", False, str(exc))
-
-    # Every normal form of length <= n names a distinct element of the
-    # radius-n ball, so the cumulative language counts sit below gamma.
-    gam = ball.ball_sizes
-    cumulative = list(itertools.accumulate(pc))
-    dominated = all(
-        cumulative[n] <= gam[n] for n in range(min(len(gam), len(cumulative)))
-    )
-    record(
-        "language-below-ball",
-        dominated,
-        f"cumulative counts {cumulative[: len(gam)]} vs ball {list(gam)}",
-    )
-
     return VerifyReport(p, profile, tuple(checks))

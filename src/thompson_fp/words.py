@@ -72,26 +72,3 @@ def format_word(word: Iterable[Letter]) -> str:
     parts = [f"x{a.index}" if a.sign > 0 else f"x{a.index}^-1" for a in word]
     return " ".join(parts) if parts else "1"
 
-
-def free_reduce(word: Iterable[Letter]) -> Word:
-    """Remove adjacent x_i^e x_i^-e pairs until none remain (stack pass)."""
-    out: list[Letter] = []
-    for a in word:
-        if out and out[-1].index == a.index and out[-1].sign == -a.sign:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def inverse_word(word: Iterable[Letter]) -> Word:
-    return tuple(a.inverse() for a in reversed(tuple(word)))
-
-
-def is_positive_word(word: Iterable[Letter]) -> bool:
-    return all(a.sign > 0 for a in word)
-
-
-def max_index(word: Iterable[Letter]) -> int:
-    """Largest generator index used; -1 for the empty word."""
-    return max((a.index for a in word), default=-1)

@@ -20,7 +20,7 @@ from thompson_fp.normal_forms import (
     to_infinite_nf,
     unbar,
 )
-from thompson_fp.words import Letter, format_word, free_reduce, parse_word
+from thompson_fp.words import Letter, format_word, parse_word
 
 
 def _random_word(rng, p, length, index_bound=6):

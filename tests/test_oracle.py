@@ -203,6 +203,19 @@ def test_bfs_ball_guard(monkeypatch):
             bfs_group_ball(2, radius)
 
 
+def test_bfs_ball_refused_before_any_product(monkeypatch):
+    # At p=20 the words of L_p up to length 4 already number 1 039 385, each
+    # a distinct element of B(4), so the ball is refused without a product.
+    from thompson_fp import diagrams
+
+    def no_products(*args):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(diagrams, "_times_generator", no_products)
+    with pytest.raises(EnumerationGuardError, match="radius 4 .*BALL_SIZE_LIMIT = 1000000"):
+        bfs_group_ball(20, 4)
+
+
 def test_bfs_positive_monoid_yields_sorted_spellings():
     words = bfs_positive_monoid(2, 3, index_bound=4)
     assert () in words
@@ -278,3 +291,16 @@ def test_census_check_catches_wrong_series(monkeypatch):
     report = verify_suite(2, "small")
     failed = {c.name for c in report.checks if not c.passed}
     assert "census-vs-series" in failed
+
+
+def test_verify_reports_an_arithmetic_error_as_one_failed_check(monkeypatch):
+    from thompson_fp import series
+
+    def boom(p, order):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(series, "positive_growth_series", boom)
+    report = verify_suite(2, "small")
+    assert len(report.checks) == 10
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.details) for c in failed] == [("census-vs-series", "boom")]

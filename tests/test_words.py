@@ -4,10 +4,6 @@ from thompson_fp.words import (
     Letter,
     WordParseError,
     format_word,
-    free_reduce,
-    inverse_word,
-    is_positive_word,
-    max_index,
     parse_word,
     x,
 )
@@ -46,29 +42,6 @@ def test_parse_error_reports_position():
 def test_letter_inverse():
     assert x(4).inverse() == x(4, -1)
     assert x(4, -1).inverse() == x(4)
-
-
-def test_free_reduce_cancels_nested():
-    w = parse_word("x0 x1 x1^-1 x0^-1 x2")
-    assert free_reduce(w) == (x(2),)
-
-
-def test_free_reduce_no_false_cancellation():
-    w = parse_word("x0 x0")
-    assert free_reduce(w) == w
-
-
-def test_inverse_word():
-    w = parse_word("x0 x1^-1 x2")
-    assert inverse_word(w) == parse_word("x2^-1 x1 x0^-1")
-    assert free_reduce(w + inverse_word(w)) == ()
-
-
-def test_positive_and_max_index():
-    assert is_positive_word(parse_word("x0 x5 x2"))
-    assert not is_positive_word(parse_word("x0 x5^-1"))
-    assert max_index(parse_word("x0 x5 x2")) == 5
-    assert max_index(()) == -1
 
 
 def test_letter_is_hashable_and_ordered_tuple():
