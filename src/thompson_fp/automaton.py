@@ -25,10 +25,10 @@ The generating function of path counts is
     Phi_p(t) = (1+t)/(1-t) * (1 - t(1-t)^(p-1)) / ((1-t)^p + (1-t)^(p-1) - 1).
 
 All automaton counts come from a single walk that steps the per-state count
-vector one letter at a time: count_paths reads the vector at length n, and
-state_series keeps every vector up to its order, so a whole list of counts
-costs one walk.  phi_series and count_language_bruteforce stay independent
-of the walk, as checks on it.
+vector one letter at a time, and language_counts is its one reader: it sums
+each vector, so a whole list of counts costs one walk, and count_paths reads
+one entry of that list.  phi_series and count_language_bruteforce stay
+independent of the walk, as checks on it.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class CountingAutomaton:
     p: int
     states: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]  # matrix[i][j]: letters from i to j
-
-    @property
-    def start(self) -> int:
-        return 0
 
 
 def build_automaton(p: int) -> CountingAutomaton:
@@ -100,9 +96,9 @@ def build_automaton(p: int) -> CountingAutomaton:
 
 
 def _walk(aut: CountingAutomaton) -> Iterator[list[int]]:
-    """The one walk: path counts per state after 0, 1, 2, ... letters."""
-    v = [0] * len(aut.states)
-    v[aut.start] = 1
+    """The one walk: path counts per state after 0, 1, 2, ... letters,
+    starting from the start state q, index 0."""
+    v = [1] + [0] * (len(aut.states) - 1)
     while True:
         yield v
         nxt = [0] * len(aut.states)
@@ -114,24 +110,18 @@ def _walk(aut: CountingAutomaton) -> Iterator[list[int]]:
         v = nxt
 
 
+def language_counts(p: int, order: int) -> list[int]:
+    """|L_p ∩ Σ^n| for every n < order, from a single walk."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return [sum(v) for v in itertools.islice(_walk(build_automaton(p)), order)]
+
+
 def count_paths(p: int, n: int) -> int:
     """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    return sum(next(itertools.islice(_walk(build_automaton(p)), n, None)))
-
-
-def state_series(p: int, order: int) -> dict[str, PowerSeries]:
-    """Per-state path-count generating functions f_state(t), exact; their
-    sum counts |L_p ∩ Σ^n| for every n < order from a single walk."""
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    aut = build_automaton(p)
-    vectors = list(itertools.islice(_walk(aut), order))
-    return {
-        s: PowerSeries.from_coeffs([v[k] for v in vectors])
-        for k, s in enumerate(aut.states)
-    }
+    return language_counts(p, n + 1)[n]
 
 
 def phi_series(p: int, order: int) -> PowerSeries:

@@ -171,11 +171,13 @@ def _cmd_growth(args) -> int:
         })
         return 0
     if args.method == "automaton":
-        counts = series.series_to_ints(sum(automaton_mod.state_series(args.p, args.n).values()))
+        counts = automaton_mod.language_counts(args.p, args.n)
     elif args.method == "closed-form":
         counts = series.series_to_ints(automaton_mod.phi_series(args.p, args.n))
     else:
-        counts = [automaton_mod.count_language_bruteforce(args.p, n) for n in range(args.n)]
+        # longest first, so the enumeration guard refuses before any work
+        brute = automaton_mod.count_language_bruteforce
+        counts = [brute(args.p, n) for n in reversed(range(args.n))][::-1]
     _emit_counts(args, counts, {
         "schema": SCHEMA, "command": "growth language", "p": args.p,
         "n": args.n, "method": args.method, "counts": counts,

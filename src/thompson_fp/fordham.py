@@ -84,8 +84,7 @@ class CaretClass:
 class ClassifiedTree:
     p: int
     tree: PTree
-    classes: dict[int, CaretClass]  # preorder caret index -> class
-    order: tuple[int, ...]  # preorder indices in caret total order
+    classes: dict[int, CaretClass]  # preorder index -> class, in caret total order
 
     @property
     def total_weight(self) -> int:
@@ -178,18 +177,17 @@ def classify(p: int, tree: PTree) -> ClassifiedTree:
     for idx, (parent, before, _) in enumerate(links[1:], 1):
         (preds if before else succs)[parent].append(idx)
     # Caret total order: predecessor subtrees, the caret, successor subtrees.
-    order: list[int] = []
+    by_order: dict[int, CaretClass] = {}
     stack = [0]  # a caret to expand, or ~caret to emit
     while stack:
         idx = stack.pop()
         if idx < 0:
-            order.append(~idx)
+            by_order[~idx] = CaretClass(classes[~idx], links[~idx][2])
             continue
         stack += reversed(succs[idx])
         stack.append(~idx)
         stack += reversed(preds[idx])
-    by_order = {idx: CaretClass(classes[idx], links[idx][2]) for idx in order}
-    return ClassifiedTree(p, tree, by_order, tuple(order))
+    return ClassifiedTree(p, tree, by_order)
 
 
 def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 0) -> int:

@@ -40,11 +40,14 @@ k consecutive x_0 letters of sign +1, and 1 <= alpha, beta <= p-1):
     4. x_alpha^e x_0^(k+1) x_beta       (k >= 0, alpha <= beta)
     5. x_alpha^e x_0^(k+2) x_beta^-1    (k >= 0, alpha <= beta)
 
-unbar reconstructs the unique irreducible preimage block by block, right to
-left: write v = x_0^{m_0} x_{r_1}^{l_1} x_0^{m_1} ... x_{r_h}^{l_h} x_0^{m_h};
-split m_h into (d_h, k_h) = (0, m_h) if m_h < 0 else (m_h, 0), then
-m_i + d_{i+1} the same way for i = h-1..1, and finally k_0 = m_0 + d_1; the
-preimage is x_0^{k_0} x_{a_1}^{l_1} x_0^{k_1} ... with a_i = r_i + d_i(p-1).
+unbar is bar run backwards, one right-to-left pass.  It keeps m, the x_0
+power read since the last letter of index >= 1, and d, the conjugating power
+of the letter to its right (0 at the end).  At each letter x_r^e it sets
+m += d and d = max(m, 0), emits x_0^(m-d) and then x_{r+d(p-1)}^e, and sets
+m = 0; at the start it emits x_0^(m+d).  The split is forced: between two
+letters the preimage has x_0^k with k + (left power) = m + d, no x_0 may
+follow a letter of index >= 1, and no x_0^-1 one of index >= p, so either
+k = 0 or k < 0 and the left power is 0.
 """
 
 from __future__ import annotations
@@ -218,10 +221,15 @@ def bar(p: int, word: Iterable[Letter]) -> Word:
         )
     out: list[Letter] = []
     for net, a in zip(nets, letters):
-        out.extend([_X0 if net > 0 else _X0_INV] * abs(net))
+        out += _x0_power(net)
         out.append(a)
-    out.extend([_X0 if nets[-1] > 0 else _X0_INV] * abs(nets[-1]))
+    out += _x0_power(nets[-1])
     return tuple(out)
+
+
+def _x0_power(n: int) -> list[Letter]:
+    """x_0^n, as |n| letters."""
+    return [_X0 if n > 0 else _X0_INV] * abs(n)
 
 
 def is_in_Lp(p: int, word: Iterable[Letter]) -> bool:
@@ -260,33 +268,6 @@ def is_in_Lp(p: int, word: Iterable[Letter]) -> bool:
     return True
 
 
-def _blocks(word: Word) -> tuple[int, list[tuple[int, int, int]]]:
-    """Split an L_p word into x_0^{m_0} (x_{r_i}^{l_i} x_0^{m_i})_{i=1..h};
-    returns (m_0, [(r_i, l_i, m_i), ...]).  Runs have uniform sign in L_p,
-    so l_i and m_i are signed counts."""
-    k = 0
-    n = len(word)
-
-    def run_zero(k: int) -> tuple[int, int]:
-        m = 0
-        while k < n and word[k][0] == 0:
-            m += word[k][1]
-            k += 1
-        return m, k
-
-    m0, k = run_zero(k)
-    blocks = []
-    while k < n:
-        r, sign = word[k]
-        l = 0
-        while k < n and word[k][0] == r and word[k][1] == sign:
-            l += sign
-            k += 1
-        m, k = run_zero(k)
-        blocks.append((r, l, m))
-    return m0, blocks
-
-
 def unbar(p: int, word: Iterable[Letter]) -> Word:
     """The inverse of bar on L_p: reconstruct the irreducible preimage."""
     _check_p(p)
@@ -295,26 +276,19 @@ def unbar(p: int, word: Iterable[Letter]) -> Word:
         raise NotInLanguageError(
             "word is not in the normal form language L_p; unbar is undefined"
         )
-    m0, blocks = _blocks(v)
-    if not blocks:
-        return tuple([Letter(0, 1 if m0 > 0 else -1)] * abs(m0))
-    ds = [0] * len(blocks)
-    ks = [0] * len(blocks)
-    carry = 0  # d_{i+1} while walking right to left
-    for i in range(len(blocks) - 1, -1, -1):
-        m = blocks[i][2] + carry
-        if m < 0:
-            ds[i], ks[i] = 0, m
-        else:
-            ds[i], ks[i] = m, 0
-        carry = ds[i]
-    k0 = m0 + carry
-    out: list[Letter] = []
-    out.extend([Letter(0, 1 if k0 > 0 else -1)] * abs(k0))
-    for (r, l, _), d, kk in zip(blocks, ds, ks):
-        a = r + d * (p - 1)
-        out.extend([Letter(a, 1 if l > 0 else -1)] * abs(l))
-        out.extend([Letter(0, 1 if kk > 0 else -1)] * abs(kk))
+    out: list[Letter] = []  # built right to left
+    m = d = 0  # x_0 power since the last letter; that letter's conjugating power
+    for r, sign in reversed(v):
+        if r == 0:
+            m += sign
+            continue
+        m += d
+        d = max(m, 0)
+        out += _x0_power(m - d)
+        out.append(Letter(r + d * (p - 1), sign))
+        m = 0
+    out += _x0_power(m + d)
+    out.reverse()
     return tuple(out)
 
 

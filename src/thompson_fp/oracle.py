@@ -230,8 +230,11 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
         f"the ball of radius {radius} has more than "
         f"BALL_SIZE_LIMIT = {BALL_SIZE_LIMIT} elements; lower the radius"
     )
-    walk = itertools.islice(automaton_mod._walk(automaton_mod.build_automaton(p)), radius + 1)
-    if any(n > BALL_SIZE_LIMIT for n in itertools.accumulate(map(sum, walk))):
+    # L_p has at least 2^n words of length n (those over x_1, x_1^-1, x_0^-1
+    # with no x_1 x_1^-1 or x_1^-1 x_1), so lengths up to the limit's bit
+    # length already pass it and the count never needs more of them.
+    counts = automaton_mod.language_counts(p, min(radius, BALL_SIZE_LIMIT.bit_length()) + 1)
+    if any(n > BALL_SIZE_LIMIT for n in itertools.accumulate(counts)):
         raise too_big
     moves = [Letter(i, sign) for i in range(p) for sign in (1, -1)]
     times = diagrams._times_generator
@@ -269,7 +272,8 @@ def bfs_positive_monoid(p: int, max_len: int, index_bound: int) -> list[Word]:
 
 def enumerate_infinite_nf(p: int, max_len: int, index_bound: int) -> Iterator[Word]:
     """All irreducible words of length <= max_len with indices <= index_bound,
-    grown letter by letter using the local adjacency test."""
+    grown letter by letter: a letter may follow the last one if the pair
+    is irreducible."""
     _check_p(p)
     alphabet = [Letter(i, s) for i in range(index_bound + 1) for s in (1, -1)]
 
@@ -277,18 +281,10 @@ def enumerate_infinite_nf(p: int, max_len: int, index_bound: int) -> Iterator[Wo
         yield w
         if len(w) < max_len:
             for a in alphabet:
-                if not w or _adjacent_ok(p, w[-1], a):
+                if not w or normal_forms.is_infinite_nf(p, (w[-1], a)):
                     yield from extend(w + (a,))
 
     yield from extend(())
-
-
-def _adjacent_ok(p: int, a: Letter, b: Letter) -> bool:
-    return (
-        a[0] < b[0]
-        or (a[0] == b[0] and a[1] == b[1])
-        or (0 < a[0] - b[0] < p and b[1] == -1)
-    )
 
 
 @dataclass(frozen=True)
@@ -466,7 +462,7 @@ def verify_suite(p: int, profile: str = "small", seed: int = 0) -> VerifyReport:
     if profile not in _PROFILES:
         raise ValueError(f"profile must be one of {sorted(_PROFILES)}, got {profile!r}")
     cfg = _PROFILES[profile]
-    counts = series.series_to_ints(sum(automaton_mod.state_series(p, cfg["lang_order"]).values()))
+    counts = automaton_mod.language_counts(p, cfg["lang_order"])
     run = _Run(p, cfg, random.Random(seed), bfs_group_ball(p, cfg["radius"]), counts)
     checks = []
     for name, check in _CHECKS:

@@ -6,8 +6,8 @@ from thompson_fp.automaton import (
     build_automaton,
     count_language_bruteforce,
     count_paths,
+    language_counts,
     phi_series,
-    state_series,
 )
 from thompson_fp.normal_forms import is_in_Lp
 from thompson_fp.series import series_to_ints
@@ -71,18 +71,18 @@ def test_brute_force_guard_trips():
     assert 4 ** 11 <= BRUTE_FORCE_WORD_LIMIT < 4 ** 13
 
 
-def test_state_series_sum_and_residuals():
-    # every state accepts, so the per-state series sum to the full count;
-    # and q{i},0 is entered only from q{i}, one letter later
+def test_language_counts_and_entry_into_q_i0():
+    # one walk gives every count, as count_paths and the closed form do;
+    # and q{i},0 is entered only from q{i}, by one letter
     for p in (2, 3):
-        fs = state_series(p, 12)
-        for n in range(12):
-            total = sum(s.coefficient(n) for s in fs.values())
-            assert total == count_paths(p, n)
+        counts = language_counts(p, 12)
+        assert counts == [count_paths(p, n) for n in range(12)]
+        assert counts == series_to_ints(phi_series(p, 12))
+        a = build_automaton(p)
         for i in range(1, p):
-            fi, fi0 = fs[f"q{i}"], fs[f"q{i},0"]
-            assert all(fi0.coefficient(n) == fi.coefficient(n - 1) for n in range(1, 12))
-    assert all(s.order == 0 for s in state_series(2, 0).values())
+            column = [row[a.states.index(f"q{i},0")] for row in a.matrix]
+            assert column == [int(s == f"q{i}") for s in a.states]
+    assert language_counts(2, 0) == []
 
 
 def test_growth_ratio_approaches_xi():

@@ -78,6 +78,19 @@ def test_growth_language_methods_agree(capsys):
     assert len(long_runs[0][1]["counts"]) == 60
 
 
+def test_growth_language_brute_refuses_before_enumerating(capsys, monkeypatch):
+    # the guard must trip before any word is tested, not at the last length
+    def no_enumeration(p, word):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr("thompson_fp.automaton.is_in_Lp", no_enumeration)
+    for p, n in ((2, 13), (3, 10)):
+        code = run(["growth", "language", "--p", str(p), "--n", str(n), "--method", "brute"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "exceeds the enumeration limit" in captured.err
+
+
 def test_rate_positive_exact_fractions(capsys):
     code, payload = _run_json(capsys, ["rate", "positive", "--p", "2", "--tol", "1/1000"])
     assert code == 0

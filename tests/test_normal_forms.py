@@ -241,9 +241,11 @@ def test_bar_matches_the_expand_then_cancel_reference():
         words = _seeded_words(300 + p, p, 60, 30, 3 * p, False)
         words += _seeded_words(400 + p, p, 30, 30, p, False)  # dense in x_0^±1
         words += _seeded_words(100 + p, p, 3, 120, 3 * p, True)
-        words += [to_infinite_nf(p, w) for w in words]
-        for w in words:
+        nfs = [to_infinite_nf(p, w) for w in words]
+        for w in words + nfs:
             assert bar(p, w) == _bar_reference(p, w), (p, w)
+        for w in nfs:
+            assert unbar(p, bar(p, w)) == w, (p, w)
 
 
 def test_bar_refuses_an_image_past_the_length_limit(monkeypatch):

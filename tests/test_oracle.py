@@ -214,6 +214,19 @@ def test_bfs_ball_refused_before_any_product(monkeypatch):
     monkeypatch.setattr(diagrams, "_times_generator", no_products)
     with pytest.raises(EnumerationGuardError, match="radius 4 .*BALL_SIZE_LIMIT = 1000000"):
         bfs_group_ball(20, 4)
+    # however large the radius, the pre-check counts at most 21 lengths:
+    # L_p has at least 2^n words of length n, and 2^21 - 1 > 10^6
+    from thompson_fp import automaton
+
+    counts = automaton.language_counts
+
+    def at_most_21_lengths(p, order):
+        assert order <= 21, f"the pre-check asked for {order} lengths"
+        return counts(p, order)
+
+    monkeypatch.setattr(automaton, "language_counts", at_most_21_lengths)
+    with pytest.raises(EnumerationGuardError, match="radius 1000000000 "):
+        bfs_group_ball(2, 10**9)
 
 
 def test_bfs_positive_monoid_yields_sorted_spellings():

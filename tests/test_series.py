@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from thompson_fp.automaton import phi_series, state_series
+from thompson_fp.automaton import language_counts, phi_series
 from thompson_fp.series import (
     PowerSeries,
     check_eqonn,
@@ -93,7 +93,7 @@ def test_negative_order_is_rejected():
     with pytest.raises(ValueError):
         phi_series(2, -1)
     with pytest.raises(ValueError):
-        state_series(2, -1)
+        language_counts(2, -1)
     with pytest.raises(ValueError):
         solve_M(3, -1)
     with pytest.raises(ValueError):
