@@ -25,9 +25,9 @@ The generating function of path counts is
     Phi_p(t) = (1+t)/(1-t) * (1 - t(1-t)^(p-1)) / ((1-t)^p + (1-t)^(p-1) - 1).
 
 All automaton counts come from a single walk that steps the per-state count
-vector one letter at a time, and language_counts is its one reader: it sums
-each vector, so a whole list of counts costs one walk, and count_paths reads
-one entry of that list.  phi_series and count_language_bruteforce stay
+vector one letter at a time.  language_counts sums each vector, so a whole
+list of counts costs one walk; count_paths sums only the n-th, keeping one
+vector at a time.  phi_series and count_language_bruteforce stay
 independent of the walk, as checks on it.
 """
 
@@ -121,7 +121,7 @@ def count_paths(p: int, n: int) -> int:
     """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    return language_counts(p, n + 1)[n]
+    return sum(next(itertools.islice(_walk(build_automaton(p)), n, None)))
 
 
 def phi_series(p: int, order: int) -> PowerSeries:

@@ -150,38 +150,39 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _emit_counts(args, counts: list[int], payload: dict) -> None:
+def _emit(args, payload: dict, rows: list[dict]) -> None:
+    """The payload as JSON, or with --format csv the rows as a table whose
+    header is the first row's keys."""
     if args.format == "csv":
-        print("n,count")
-        for n, c in enumerate(counts):
-            print(f"{n},{c}")
+        cols = list(rows[0])
+        print(",".join(cols))
+        for row in rows:
+            print(",".join(str(row[c]) for c in cols))
     else:
         _emit_json(payload)
 
 
 def _cmd_growth(args) -> int:
     if args.what == "positive":
+        key = "coefficients"
         if args.method == "series":
             counts = series.positive_growth_series(args.p, args.n).counts()
         else:
             counts = list(oracle.enumerate_positive_by_weight(args.p, args.n - 1).counts)
-        _emit_counts(args, counts, {
-            "schema": SCHEMA, "command": "growth positive", "p": args.p,
-            "n": args.n, "method": args.method, "coefficients": counts,
-        })
-        return 0
-    if args.method == "automaton":
-        counts = automaton_mod.language_counts(args.p, args.n)
-    elif args.method == "closed-form":
-        counts = series.series_to_ints(automaton_mod.phi_series(args.p, args.n))
     else:
-        # longest first, so the enumeration guard refuses before any work
-        brute = automaton_mod.count_language_bruteforce
-        counts = [brute(args.p, n) for n in reversed(range(args.n))][::-1]
-    _emit_counts(args, counts, {
-        "schema": SCHEMA, "command": "growth language", "p": args.p,
-        "n": args.n, "method": args.method, "counts": counts,
-    })
+        key = "counts"
+        if args.method == "automaton":
+            counts = automaton_mod.language_counts(args.p, args.n)
+        elif args.method == "closed-form":
+            counts = series.series_to_ints(automaton_mod.phi_series(args.p, args.n))
+        else:
+            # longest first, so the enumeration guard refuses before any work
+            brute = automaton_mod.count_language_bruteforce
+            counts = [brute(args.p, n) for n in reversed(range(args.n))][::-1]
+    _emit(args, {
+        "schema": SCHEMA, "command": f"growth {args.what}", "p": args.p,
+        "n": args.n, "method": args.method, key: counts,
+    }, [{"n": n, "count": c} for n, c in enumerate(counts)])
     return 0
 
 
@@ -219,13 +220,7 @@ def _cmd_rate(args) -> int:
         }
         for r in rows
     ]
-    if args.format == "csv":
-        cols = list(table[0].keys())
-        print(",".join(cols))
-        for row in table:
-            print(",".join(str(row[c]) for c in cols))
-    else:
-        _emit_json({"schema": SCHEMA, "command": "rate report", "rows": table})
+    _emit(args, {"schema": SCHEMA, "command": "rate report", "rows": table}, table)
     return 0
 
 

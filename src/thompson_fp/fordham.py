@@ -31,9 +31,12 @@ One left-to-right pass over the tree's preorder string, with a stack of
 (child kind table, next child position) per open caret, gives every caret
 its final class: a middle caret turns full when a successor child starts
 with "C", and a right caret, which lies on the rightmost path, is full when
-a middle caret starts after its child 1.  `tree_weight` sums `CARET_WEIGHTS`
-over the pass; `classify` keys the classes by preorder position and lists
-them in caret total order with an explicit stack.
+a middle caret starts after its child 1.  The same pass lists the carets in
+total order: a caret's predecessor children come first among its children,
+so it takes its place when the pass reaches its first successor child, after
+all of its predecessor subtrees and before any of its successor subtrees.
+`tree_weight` sums `CARET_WEIGHTS` over the pass; `classify` keys the
+classes by preorder position in that order.
 """
 
 from __future__ import annotations
@@ -123,12 +126,19 @@ def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[int, tuple[tuple[str, i
 
 def _pass(
     p: int, tree: str, kind: str, mid_i: int
-) -> tuple[list[str], list[tuple[int, bool, int | None]]]:
-    """Every caret of `tree`, hung as a subtree of base kind `kind`, in
-    preorder: its final class, and (parent, whether it is a predecessor
-    child, middle index or None).  The top caret's parent is -1."""
+) -> tuple[list[str], list[int | None], list[int]]:
+    """Every caret of `tree`, hung as a subtree of base kind `kind`: its final
+    class and its middle index (or None), both in preorder, and the carets in
+    total order.
+
+    A caret's predecessor children are its children 0..npred-1, so it takes
+    its place in the total order when the pass reaches its child npred: all
+    of its predecessor subtrees have been read by then, and none of its
+    successor subtrees.  Every caret has 1 <= npred <= p-1; the frame around
+    the tree has npred = p and so never takes a place."""
     classes: list[str] = []
-    links: list[tuple[int, bool, int | None]] = []
+    mids: list[int | None] = []
+    order: list[int] = []
     rights: list[tuple[int, int]] = []  # (right caret, carets before its child 1)
     last_middle = -1
     # Per open caret: [predecessor count, child kinds, caret, its kind, next
@@ -142,6 +152,8 @@ def _pass(
             stack.pop()
         else:
             top[4] = pos + 1
+        if pos == npred:
+            order.append(parent)
         if pkind == RIGHT and pos == 1:
             rights.append((parent, len(classes)))
         if ch != "C":
@@ -155,14 +167,14 @@ def _pass(
             last_middle = idx
         else:
             classes.append(RIGHT_EMPTY if ck == RIGHT else ck)
-        links.append((parent, pos < npred, ci if ck == MIDDLE else None))
+        mids.append(ci if ck == MIDDLE else None)
         stack.append([*_child_kinds(p, ck, ci), idx, ck, 0])
     # A right caret lies on the rightmost path, so the carets after it in the
     # total order are those from its child 1 on: it is full if one is middle.
     for idx, mark in rights:
         if mark <= last_middle:
             classes[idx] = RIGHT_FULL
-    return classes, links
+    return classes, mids, order
 
 
 def classify(p: int, tree: PTree) -> ClassifiedTree:
@@ -171,23 +183,8 @@ def classify(p: int, tree: PTree) -> ClassifiedTree:
     Carets are numbered by their position in the tree (preorder)."""
     if tree == "L":
         raise ValueError("the empty tree has no carets to classify")
-    classes, links = _pass(p, tree, ROOT, 0)
-    preds: list[list[int]] = [[] for _ in classes]
-    succs: list[list[int]] = [[] for _ in classes]
-    for idx, (parent, before, _) in enumerate(links[1:], 1):
-        (preds if before else succs)[parent].append(idx)
-    # Caret total order: predecessor subtrees, the caret, successor subtrees.
-    by_order: dict[int, CaretClass] = {}
-    stack = [0]  # a caret to expand, or ~caret to emit
-    while stack:
-        idx = stack.pop()
-        if idx < 0:
-            by_order[~idx] = CaretClass(classes[~idx], links[~idx][2])
-            continue
-        stack += reversed(succs[idx])
-        stack.append(~idx)
-        stack += reversed(preds[idx])
-    return ClassifiedTree(p, tree, by_order)
+    classes, mids, order = _pass(p, tree, ROOT, 0)
+    return ClassifiedTree(p, tree, {i: CaretClass(classes[i], mids[i]) for i in order})
 
 
 def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 0) -> int:

@@ -344,11 +344,12 @@ class _Run:
 
 
 def _relations(run: _Run) -> tuple[bool, str]:
+    """`compose` returns reduced, hence unique, diagrams: `==` compares them."""
     p, g = run.p, [diagrams.generator_pair(run.p, n) for n in range(3 * run.p)]
     bad = [
         (i, j)
         for i, j in itertools.combinations(range(2 * p + 1), 2)
-        if not diagrams.equal(diagrams.compose(g[j], g[i]), diagrams.compose(g[i], g[j + p - 1]))
+        if diagrams.compose(g[j], g[i]) != diagrams.compose(g[i], g[j + p - 1])
     ]
     return not bad, f"x_j x_i = x_i x_(j+p-1) for 0<=i<j<=2p; bad={bad}"
 

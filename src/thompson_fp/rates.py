@@ -217,13 +217,13 @@ def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     hi = Fraction(1, p)
     if f.value(hi) >= 0:
         raise ArithmeticError(f"expected a sign change below x = 1/{p}")
+    # f(1/(2p)) > 0 for every p >= 2.  With x = 1/(2p), Bernoulli gives
+    # (1 - x^2)^(p-1) >= 1 - (p-1) x^2 > 1 - 1/(4p), and 1 + x - x^2 > 0, so
+    # f(x) + 1 > (1 - 1/(4p)) (1 + 1/(2p) - 1/(4p^2))
+    #          = 1 + (2p - 3)/(8p^2) + 1/(16p^3) > 1.
     lo = hi / 2
-    for _ in range(64):
-        if f.value(lo) > 0:
-            break
-        lo /= 2
-    else:
-        raise ArithmeticError("could not find a positive left endpoint")
+    if f.value(lo) <= 0:
+        raise ArithmeticError(f"expected f > 0 at x = 1/{2 * p}")
     r = _enclose(f, lo, hi, tol)
     if not _zeta_y_eq(p).brackets(r.low, r.high):
         raise ArithmeticError("reciprocal-form polynomial does not bracket the root")

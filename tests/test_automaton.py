@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from thompson_fp.automaton import (
@@ -83,6 +85,21 @@ def test_language_counts_and_entry_into_q_i0():
             column = [row[a.states.index(f"q{i},0")] for row in a.matrix]
             assert column == [int(s == f"q{i}") for s in a.states]
     assert language_counts(2, 0) == []
+
+
+def test_count_paths_keeps_one_vector():
+    # count_paths walks to length n keeping one vector, not the list of all
+    # counts up to n, whose bits grow as n^2 (about 2.5 MB at n = 5000)
+    tracemalloc.start()
+    try:
+        count_paths(2, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert count_paths(2, 300) == language_counts(2, 301)[300]
+    with pytest.raises(ValueError):
+        count_paths(2, -1)
 
 
 def test_growth_ratio_approaches_xi():

@@ -19,6 +19,7 @@ from thompson_fp.fordham import (
     RIGHT_EMPTY,
     RIGHT_FULL,
     ROOT,
+    _child_kinds,
     classify,
     positive_length,
     tree_weight,
@@ -164,3 +165,31 @@ def test_classify_numbers_carets_by_position():
 def test_tree_weight_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown caret kind"):
         tree_weight(2, parse_tree(2, "CLL"), "sideways")
+
+
+def _reference_order(p, tree):
+    """Caret total order by recursion over `children`: the predecessor
+    subtrees, the caret, then the successor subtrees; carets are numbered
+    in preorder."""
+
+    def walk(t, kind, mid, idx):
+        kids = t.children
+        if kids is None:
+            return [], idx
+        npred, kinds = _child_kinds(p, kind, mid)
+        parts, nxt = [], idx + 1
+        for child, (ck, ci) in zip(kids, kinds):
+            part, nxt = walk(child, ck, ci, nxt)
+            parts.append(part)
+        before = [i for part in parts[:npred] for i in part]
+        after = [i for part in parts[npred:] for i in part]
+        return before + [idx] + after, nxt
+
+    return walk(tree, ROOT, 0, 0)[0]
+
+
+def test_total_order_matches_recursive_reference(iter_trees):
+    for p in (2, 3, 4):
+        for c in range(1, 6):
+            for t in iter_trees(p, c):
+                assert list(classify(p, t).classes) == _reference_order(p, t), (p, t)

@@ -46,6 +46,12 @@ def test_zeta_two_forms_agree():
         assert abs(a.midpoint - b.midpoint) <= 2 * F(1, 10**9)
 
 
+def test_zeta_left_endpoint_is_positive():
+    # zeta brackets its root on [1/(2p), 1/p] with no search: f(1/(2p)) > 0
+    for p in range(2, 201):
+        assert rates._zeta_eq(p).value(F(1, 2 * p)) > 0, p
+
+
 def test_xi_reference_values():
     expected = {2: 2.618033989, 3: 4.079595623, 4: 5.530132718, 5: 6.977144180}
     for p, val in expected.items():
