@@ -11,17 +11,18 @@ bound for the group growth rate), 1/t* where t* is the unique root in
 Asymptotically xi(p) = (p - 1/2)/ln 2 + 1/2 + o(1).
 
 All arithmetic is exact.  Each of the five root equations f(x) = 0 is one
-piece of data: its homogeneous integer form F(a, q) = q^d f(a/q), its degree
-d, its printed text, and the Moebius map (alpha x + beta)/(gamma x + delta)
-from its root x to the rate: x, 1/x or y/(y - 1).  One routine, `_enclose`,
-serves all five routes.  It bisects on integers a < b over one shared q > 0;
-F(a, q) has exactly the sign of f(a/q), so there is no rounding and no gcd.
-It stops once the rate's width over the bracket [a/q, b/q],
+piece of data: its homogeneous integer form F(a, q) = q^d f(a/q), its printed
+text, and the Moebius map (alpha x + beta)/(gamma x + delta) from its root x
+to the rate: x, 1/x or y/(y - 1).  One routine, `_enclose`, serves all five
+routes.  It bisects on integers a < b over one shared q > 0; F(a, q) has
+exactly the sign of f(a/q), so there is no rounding and no gcd.  It stops
+once the rate's width over the bracket [a/q, b/q],
 |alpha delta - beta gamma| q (b - a) / ((gamma a + delta q)(gamma b + delta q)),
 is at most tol, compared in integers; while the denominator product is not
 > 0, a pole lies in the bracket and the test fails.  The bracket keeps a sign
 change of f, so its image, the enclosure, is guaranteed to contain the rate.
-Residuals and the cross-form checks evaluate the same forms.
+Every certificate is an integer sign test of a form: the bracket's sign
+change, the end checks of zeta and xi, and the cross-form checks.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class RateResult:
     low: Fraction
     high: Fraction
     equation: str
-    residual_bound: Fraction  # max |defining polynomial| at the endpoints
 
     @property
     def midpoint(self) -> Fraction:
@@ -125,32 +125,30 @@ def _width_test(m: _Map, tol: Fraction) -> _Done:
 
 
 class _Equation(NamedTuple):
-    """A root equation f(x) = 0 of degree d: its form F(a, q) = q^d f(a/q),
-    the map from its root to the rate, and the text a RateResult prints.
-    A tuple, so building one per call is cheap."""
+    """A root equation f(x) = 0: its form F(a, q) = q^d f(a/q), the map
+    from its root to the rate, and the text a RateResult prints.  A tuple,
+    so building one per call is cheap."""
 
     p: int
     form: _Form
-    degree: int
     rate: _Map
     text: str
 
-    def value(self, x: Fraction) -> Fraction:
-        """f(x), read off the form."""
-        return Fraction(self.form(x.numerator, x.denominator), x.denominator**self.degree)
+    def at(self, x: Fraction) -> int:
+        """The form at x's lowest terms, an int with the sign of f(x)."""
+        return self.form(*x.as_integer_ratio())
 
     def brackets(self, low: Fraction, high: Fraction) -> bool:
         """True if f vanishes or changes sign between the roots whose rates
-        are low and high: the form has the sign of f."""
-        fl, fh = (self.form(*x.as_integer_ratio()) for x in _image(self.rate, low, high))
+        are low and high."""
+        fl, fh = map(self.at, _image(self.rate, low, high))
         return min(fl, fh) <= 0 <= max(fl, fh)
 
 
 def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateResult:
     """Bisect eq on [lo, hi] until its rate is enclosed within tol."""
     lo, hi = _bisect(eq.form, lo, hi, _width_test(eq.rate, _check_tol(tol)))
-    residual = max(abs(eq.value(lo)), abs(eq.value(hi)))
-    return RateResult(eq.p, *_image(eq.rate, lo, hi), eq.text, residual)
+    return RateResult(eq.p, *_image(eq.rate, lo, hi), eq.text)
 
 
 # The root equations.  Each checks p, so a route checks p before tol.
@@ -165,7 +163,7 @@ def _zeta_eq(p: int) -> _Equation:
         c = qq - a * a
         return c ** (p - 1) * (c + a * q) - qq**p
 
-    return _Equation(p, form, 2 * p, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
+    return _Equation(p, form, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
 
 
 def _zeta_y_eq(p: int) -> _Equation:
@@ -177,7 +175,7 @@ def _zeta_y_eq(p: int) -> _Equation:
         c = aa - q * q
         return c ** (p - 1) * (c + a * q) - aa**p
 
-    return _Equation(p, form, 2 * p, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
+    return _Equation(p, form, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
 
 
 def _xi_eq(p: int) -> _Equation:
@@ -188,7 +186,7 @@ def _xi_eq(p: int) -> _Equation:
         c = q - a
         return c ** (p - 1) * (c + q) - q**p
 
-    return _Equation(p, form, p, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
+    return _Equation(p, form, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
 
 
 def _xi_direct_eq(p: int) -> _Equation:
@@ -198,7 +196,7 @@ def _xi_direct_eq(p: int) -> _Equation:
     def form(a: int, q: int) -> int:
         return (2 * a - q) * (a - q) ** (p - 1) - a**p
 
-    return _Equation(p, form, p, _X, "(2z-1)(z-1)^(p-1)=z^p")
+    return _Equation(p, form, _X, "(2z-1)(z-1)^(p-1)=z^p")
 
 
 def _xi_y_eq(p: int) -> _Equation:
@@ -208,21 +206,21 @@ def _xi_y_eq(p: int) -> _Equation:
     def form(a: int, q: int) -> int:
         return a**p - (a + q) * q ** (p - 1)
 
-    return _Equation(p, form, p, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
+    return _Equation(p, form, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
 
 
 def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Positive-monoid growth rate with enclosure width <= tol."""
     f = _zeta_eq(p)
     hi = Fraction(1, p)
-    if f.value(hi) >= 0:
+    if f.at(hi) >= 0:
         raise ArithmeticError(f"expected a sign change below x = 1/{p}")
     # f(1/(2p)) > 0 for every p >= 2.  With x = 1/(2p), Bernoulli gives
     # (1 - x^2)^(p-1) >= 1 - (p-1) x^2 > 1 - 1/(4p), and 1 + x - x^2 > 0, so
     # f(x) + 1 > (1 - 1/(4p)) (1 + 1/(2p) - 1/(4p^2))
     #          = 1 + (2p - 3)/(8p^2) + 1/(16p^3) > 1.
     lo = hi / 2
-    if f.value(lo) <= 0:
+    if f.at(lo) <= 0:
         raise ArithmeticError(f"expected f > 0 at x = 1/{2 * p}")
     r = _enclose(f, lo, hi, tol)
     if not _zeta_y_eq(p).brackets(r.low, r.high):
@@ -238,7 +236,7 @@ def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
 def xi(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Language growth rate (group growth lower bound), width <= tol."""
     f = _xi_eq(p)
-    if f.value(Fraction(1, 2)) >= 0:
+    if f.at(Fraction(1, 2)) >= 0:
         raise ArithmeticError("expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2")
     r = _enclose(f, Fraction(0), Fraction(1, 2), tol)
     # Cross-checks: both alternate forms must change sign over the enclosure.

@@ -37,7 +37,6 @@ reuses the last of them to cross-check the closed route to S.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +44,8 @@ from .words import _check_p
 
 
 def _whole(c) -> int:
-    if isinstance(c, numbers.Rational) and c.denominator == 1:
-        return int(c.numerator)
+    if isinstance(c, int):
+        return int(c)
     raise ArithmeticError(f"non-integer coefficient {c} in counting series")
 
 
@@ -59,12 +58,9 @@ class PowerSeries:
         return len(self.coeffs)
 
     @classmethod
-    def from_coeffs(
-        cls, coeffs: Sequence[numbers.Rational], order: int | None = None
-    ) -> "PowerSeries":
-        """The series with these coefficients, cut or zero-padded to order.
-
-        Whole Fractions become ints; any other non-integer raises
+    def from_coeffs(cls, coeffs: Sequence[int], order: int | None = None) -> "PowerSeries":
+        """The series with these int coefficients, cut or zero-padded to
+        order.  Any other coefficient, a Fraction included, raises
         ArithmeticError, and a negative order raises ValueError."""
         cs = [_whole(c) for c in coeffs]
         if order is not None:
@@ -80,11 +76,6 @@ class PowerSeries:
     @classmethod
     def x(cls, order: int) -> "PowerSeries":
         return cls.from_coeffs([0, 1], order)
-
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
 
     @property
     def is_zero(self) -> bool:

@@ -157,6 +157,21 @@ def test_length_with_classes(capsys):
     assert sum(weights) == 3
 
 
+@pytest.mark.parametrize(
+    "p, word, out",
+    [
+        (2, "x0 x0^-1", '{"schema": "1", "command": "length", "p": 2, "word": "x0 x0^-1", '
+         '"length": 0, "classes": {}}\n'),
+        (3, "1", '{"schema": "1", "command": "length", "p": 3, "word": "1", '
+         '"length": 0, "classes": {}}\n'),
+    ],
+)
+def test_length_classes_of_the_identity(capsys, p, word, out):
+    # the identity's trees have no carets, so it has no classes
+    assert run(["length", "--p", str(p), "--classes", word]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_length_rejects_negative_word(capsys):
     for flags in ([], ["--classes"]):
         code = run(["length", "--p", "2", *flags, "x0^-1"])

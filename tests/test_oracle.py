@@ -193,14 +193,36 @@ def test_bfs_ball_f2():
 
 
 def test_bfs_ball_guard(monkeypatch):
-    # The guard counts elements: a limit of exactly |B(5)| = 475 at p=2
-    # admits radius 5 and stops every larger radius, however far past the
-    # limit it would go.
+    # A limit of exactly |B(5)| = 475 at p=2 admits radius 5 and stops every
+    # larger radius, however far past the limit it would go.  The language
+    # pre-check stops these before any product: L_2 has 1029 words of length
+    # <= 6, each a distinct element of B(6).
     monkeypatch.setattr(oracle, "BALL_SIZE_LIMIT", 475)
     assert bfs_group_ball(2, 5).ball_sizes[-1] == 475
     for radius in (6, 14, 25):
         with pytest.raises(EnumerationGuardError, match=f"radius {radius} .*BALL_SIZE_LIMIT = 475"):
             bfs_group_ball(2, radius)
+
+
+def test_bfs_ball_counting_guard(monkeypatch):
+    # L_2 has 387 words of length <= 5 and |B(5)| = 475, so a limit of 474
+    # passes the pre-check and only the count of elements found refuses the
+    # ball, after some products and within the limit's worth of them.
+    from thompson_fp import diagrams
+
+    products = 0
+    times = diagrams._times_generator
+
+    def counted(*args):
+        nonlocal products
+        products += 1
+        return times(*args)
+
+    monkeypatch.setattr(oracle, "BALL_SIZE_LIMIT", 474)
+    monkeypatch.setattr(diagrams, "_times_generator", counted)
+    with pytest.raises(EnumerationGuardError, match="radius 5 .*BALL_SIZE_LIMIT = 474"):
+        bfs_group_ball(2, 5)
+    assert 0 < products <= 4 * 474
 
 
 def test_bfs_ball_refused_before_any_product(monkeypatch):
