@@ -34,8 +34,7 @@ independent of the walk, as checks on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .series import PowerSeries, expand_rational
 from .words import Letter, _check_p
@@ -48,8 +47,7 @@ class BruteForceGuardError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CountingAutomaton:
+class CountingAutomaton(NamedTuple):
     p: int
     states: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]  # matrix[i][j]: letters from i to j

@@ -52,10 +52,9 @@ of x_n is R_k with a caret at child r of spine caret k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import Letter, _check_p
 
@@ -150,19 +149,25 @@ def num_leaves(t: PTree) -> int:
     return t.count("L")
 
 
-@dataclass(frozen=True)
-class TreePair:
-    """A diagram (source, target); the group element maps source to target."""
-
+class _PairFields(NamedTuple):
     p: int
     source: PTree
     target: PTree
 
-    def __post_init__(self):
-        _check_p(self.p)
-        ns, nt = num_leaves(self.source), num_leaves(self.target)
+
+class TreePair(_PairFields):
+    """A diagram (source, target); the group element maps source to target.
+    A NamedTuple may not define __new__ in its own body, so the checks on p
+    and on the leaf counts sit in this subclass's."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, source: PTree, target: PTree) -> "TreePair":
+        _check_p(p)
+        ns, nt = num_leaves(source), num_leaves(target)
         if ns != nt:
             raise ValueError(f"source has {ns} leaves but target has {nt}")
+        return super().__new__(cls, p, source, target)
 
     def serialize(self) -> str:
         return f"{self.source}|{self.target}"

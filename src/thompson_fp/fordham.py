@@ -41,9 +41,8 @@ classes by preorder position in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .diagrams import PTree, TreePair, evaluate, is_right_spine, reduce
 
@@ -73,8 +72,7 @@ class NotPositiveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CaretClass:
+class CaretClass(NamedTuple):
     kind: str
     middle_index: int | None = None  # i for M^i carets
 
@@ -83,8 +81,7 @@ class CaretClass:
         return CARET_WEIGHTS[self.kind]
 
 
-@dataclass(frozen=True)
-class ClassifiedTree:
+class ClassifiedTree(NamedTuple):
     p: int
     tree: PTree
     classes: dict[int, CaretClass]  # preorder index -> class, in caret total order

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import automaton as automaton_mod
 from . import diagrams, fordham, normal_forms, rates, series
@@ -120,25 +119,32 @@ class _Walk:
                 yield tree + trees, w + ws
 
     def _candidates(self, budget: int) -> Iterator[PTree]:
-        """Every tree with a caret whose hanging weights, plus the right_full
-        weight per right caret below the first, are at most budget, and whose
-        deepest spine caret has hanging weight > 0.  Each stack entry is a
-        spine caret still to fill: the preorder string above it, its kind
-        (the root, or a right caret) and the budget left for it and the spine
-        below."""
+        """Every tree with a caret whose deepest spine caret has hanging
+        weight > 0 and whose weight is at most budget: its hanging weights,
+        plus the right_full weight per right caret below the root, except
+        for the deepest caret when its successor children hold no caret.
+        A spine caret's child 0 is its one predecessor child, so the carets
+        after it in total order are those of its children 1..p-1; when it
+        is the deepest, child p-1 is a leaf, and a right caret is right_full
+        exactly when its children 1..p-2, all middle subtrees, have hanging
+        weight > 0.  Each stack entry is a spine caret still to fill: the
+        preorder string above it, its kind (the root, or a right caret) and
+        the budget left for it and the spine below."""
         stack = [("", fordham.ROOT, budget)]
         while stack:
             above, kind, budget = stack.pop()
-            for kids, w in self._draw(_hanging_kinds(self.p, kind, 0), budget):
-                top = above + "C" + kids  # its last child, the spine below, follows
-                if w:
-                    yield PTree(top + "L")
-                below = budget - w - (self._right_full if kind == fordham.RIGHT else 0)
-                stack.append((top, fordham.RIGHT, below))
+            kinds = _hanging_kinds(self.p, kind, 0)
+            charge = self._right_full if kind == fordham.RIGHT else 0
+            for head, w0 in self._draw(kinds[:1], budget):
+                for tail, ws in self._draw(kinds[1:], budget - w0):
+                    top = above + "C" + head + tail  # its last child, the spine below, follows
+                    w = w0 + ws
+                    if w and w + (charge if ws else 0) <= budget:
+                        yield PTree(top + "L")
+                    stack.append((top, fordham.RIGHT, budget - w - charge))
 
 
-@dataclass(frozen=True)
-class PositiveCensus:
+class PositiveCensus(NamedTuple):
     p: int
     max_weight: int
     counts: tuple[int, ...]  # counts[n] = reduced positive trees of weight n
@@ -166,9 +172,13 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     ends the spine only at a caret with hanging weight > 0, which skips only
     non-reduced trees: a tree with a caret is reduced exactly when its
     deepest spine caret keeps a hanging caret, and each hanging caret
-    weighs >= 1.  The leaf is the one other candidate.  Each candidate is
-    still tested for reducedness, and each reduced one is weighed whole
-    with the Fordham rules, so the counts take nothing from the series."""
+    weighs >= 1.  A deepest caret that is a right caret is right_full
+    exactly when its children 1..p-2 hold a caret (see `_Walk._candidates`),
+    and the walk ends the spine there only if that weight fits too, which
+    skips only trees heavier than W.  So every candidate but the leaf is
+    reduced and weighs <= W.  Each candidate is still tested for
+    reducedness, and each reduced one is weighed whole with the Fordham
+    rules, so the counts take nothing from the series."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -197,8 +207,7 @@ def enumerate_middle_by_weight(p: int, i: int, max_weight: int) -> tuple[int, ..
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class BallStats:
+class BallStats(NamedTuple):
     """The ball of a radius in F(p), one record per element: `elements` maps
     each reduced pair to a geodesic word for it, the first the BFS found,
     whose length is the element's distance from the identity."""
@@ -206,11 +215,16 @@ class BallStats:
     p: int
     radius: int
     sphere_sizes: tuple[int, ...]  # index r: elements at distance exactly r
-    elements: dict[TreePair, Word] = field(repr=False)
+    elements: dict[TreePair, Word]
 
     @property
     def ball_sizes(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(self.sphere_sizes))
+
+    def __repr__(self) -> str:
+        """Every field but `elements`, which holds the whole ball."""
+        p, radius, sizes = self.p, self.radius, self.sphere_sizes
+        return f"BallStats(p={p!r}, radius={radius!r}, sphere_sizes={sizes!r})"
 
 
 def bfs_group_ball(p: int, radius: int) -> BallStats:
@@ -287,15 +301,13 @@ def enumerate_infinite_nf(p: int, max_len: int, index_bound: int) -> Iterator[Wo
     yield from extend(())
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     p: int
     profile: str
     checks: tuple[CheckResult, ...]
@@ -327,8 +339,7 @@ _PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(NamedTuple):
     """What the checks share; counts[n] = |L_p ∩ Σ^n| for n < lang_order."""
 
     p: int

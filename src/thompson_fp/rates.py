@@ -27,7 +27,6 @@ change, the end checks of zeta and xi, and the cross-form checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -43,8 +42,7 @@ _Form = Callable[[int, int], int]
 _Done = Callable[[int, int, int], bool]
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     p: int
     low: Fraction
     high: Fraction
@@ -292,8 +290,7 @@ def xi_asymptotic(p: int, precision: Fraction = Fraction(1, 10**12)) -> Fraction
     return p_minus_half / ln2 + Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class RateReportRow:
+class RateReportRow(NamedTuple):
     p: int
     zeta: RateResult
     xi: RateResult

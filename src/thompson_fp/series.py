@@ -37,8 +37,7 @@ reuses the last of them to cross-check the closed route to S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .words import _check_p
 
@@ -49,8 +48,7 @@ def _whole(c) -> int:
     raise ArithmeticError(f"non-integer coefficient {c} in counting series")
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(NamedTuple):
     coeffs: tuple[int, ...]
 
     @property
@@ -210,8 +208,7 @@ def solve_Mi(p: int, i: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     return ps[i] / ps[i - 1]
 
 
-@dataclass(frozen=True)
-class GrowthSeriesBundle:
+class GrowthSeriesBundle(NamedTuple):
     p: int
     order: int
     mi: tuple[PowerSeries, ...]  # M_1 .. M_{p-1}

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,9 +328,19 @@ def test_parser_help_mentions_subcommands():
         assert name in text
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # each of them costs every command process start-up time and no output
+    # needs them; -S keeps site's own imports out of the count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, thompson_fp.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_console_script_entry_point():
     # packaging wires thompson-fp to cli.main (tomllib is 3.11+, so scan text)
-    from pathlib import Path
-
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'thompson-fp = "thompson_fp.cli:main"' in text

@@ -76,6 +76,17 @@ def test_tree_pair_validates_leaf_counts():
         TreePair(2, caret((LEAF, LEAF)), LEAF)
     with pytest.raises(ValueError):
         TreePair(1, LEAF, LEAF)
+    with pytest.raises(ValueError):
+        TreePair(p=2, source=LEAF, target=caret((LEAF, LEAF)))
+
+
+def test_tree_pair_is_read_only():
+    pair = identity(2)
+    with pytest.raises(AttributeError):
+        pair.source = caret((LEAF, LEAF))
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    assert pair == TreePair(2, LEAF, LEAF) and hash(pair) == hash(TreePair(2, LEAF, LEAF))
 
 
 def test_generator_x0_shape():

@@ -85,6 +85,16 @@ def test_census_candidates_are_all_reduced():
             assert all(is_reduced_positive_tree(p, t) for t in candidates), (p, w)
 
 
+def test_census_candidates_are_the_counted_trees():
+    # at p >= 3 a deepest right caret with a caret among its children
+    # 1..p-2 is right_full, and the walk charges it, so every candidate but
+    # the leaf is counted
+    for p in (3, 4, 5):
+        for w in range(6):
+            counted = sum(enumerate_positive_by_weight(p, w).counts) - 1
+            assert sum(1 for _ in oracle._Walk(p)._candidates(w)) == counted, (p, w)
+
+
 def _unpruned_census(iter_trees, p, max_weight):
     counts = [0] * (max_weight + 1)
     for c in range(max_weight + 3):
@@ -190,6 +200,12 @@ def test_bfs_ball_f2():
     # each witness word evaluates to the element it is recorded for
     for pair, w in itertools.islice(stats.elements.items(), 20):
         assert evaluate(2, w) == pair
+
+
+def test_ball_repr_leaves_out_the_elements():
+    text = repr(bfs_group_ball(2, 3))
+    assert "elements" not in text
+    assert text == "BallStats(p=2, radius=3, sphere_sizes=(1, 4, 12, 36))"
 
 
 def test_bfs_ball_guard(monkeypatch):

@@ -79,6 +79,8 @@ def test_rate_result_fields():
     assert r.low <= r.midpoint <= r.high
     assert r.width == r.high - r.low
     assert "rate" in r.equation
+    with pytest.raises(AttributeError):
+        r.low = r.high
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,13 @@ def test_arithmetic_basics():
     assert (2 * a).coeffs == (F(2), F(4), F(6))
 
 
+def test_series_is_read_only():
+    a = PowerSeries.from_coeffs([1, 2, 3])
+    with pytest.raises(AttributeError):
+        a.coeffs = (0,)
+    assert a.coeffs == (1, 2, 3)
+
+
 def test_truncation_order_is_min_of_operands():
     a = PowerSeries.from_coeffs([1, 1, 1, 1])
     b = PowerSeries.from_coeffs([1, 1])
