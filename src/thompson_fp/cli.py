@@ -274,7 +274,7 @@ def _cmd_eval(args) -> int:
     pair = diagrams.evaluate(args.p, w)
     _emit_json({
         "schema": SCHEMA, "command": "eval", "p": args.p,
-        "word": format_word(w), "pair": pair.serialize(),
+        "word": format_word(w), "pair": str(pair),
         "carets": diagrams.num_carets(pair.source),
         "positive": diagrams.is_right_spine(args.p, pair.target),
     })

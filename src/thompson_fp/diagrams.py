@@ -112,19 +112,9 @@ def _leaf_at(t: str, m: int) -> int:
     return i - 1
 
 
-def caret(children: Iterable[str]) -> PTree:
-    kids = tuple(children)
-    if len(kids) < 2:
-        raise ValueError("a caret needs at least 2 children")
-    return PTree("C" + "".join(kids))
-
-
-def serialize_tree(t: PTree) -> str:
-    return str(t)
-
-
 def parse_tree(p: int, text: str) -> PTree:
-    """Inverse of serialize_tree for p-ary trees."""
+    """The p-ary tree whose preorder string is `text`; ValueError if the
+    text is not one."""
     _check_p(p)
     need = 1  # subtrees still to read
     for i, ch in enumerate(text):
@@ -169,11 +159,8 @@ class TreePair(_PairFields):
             raise ValueError(f"source has {ns} leaves but target has {nt}")
         return super().__new__(cls, p, source, target)
 
-    def serialize(self) -> str:
-        return f"{self.source}|{self.target}"
-
     def __str__(self) -> str:
-        return self.serialize()
+        return f"{self.source}|{self.target}"
 
 
 def identity(p: int) -> TreePair:

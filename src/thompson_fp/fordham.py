@@ -42,9 +42,9 @@ classes by preorder position in that order.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .diagrams import PTree, TreePair, evaluate, is_right_spine, reduce
+from .diagrams import PTree, TreePair, is_right_spine, reduce
 
 ROOT = "root"
 LEFT = "left"
@@ -194,18 +194,14 @@ def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 
     return sum(w[cls] for cls in _pass(p, tree, root_kind, middle_index)[0])
 
 
-def positive_length(p: int, element: Union[TreePair, tuple, list]) -> int:
-    """Word length of a positive element, from its classified source tree.
-
-    Accepts a TreePair or a word (sequence of letters).  Raises
-    NotPositiveError for elements that are not positive.
+def positive_length(p: int, pair: TreePair) -> int:
+    """Word length of a positive element, given as a TreePair, from its
+    classified source tree.  Raises NotPositiveError for elements that are
+    not positive.
     """
-    if isinstance(element, TreePair):
-        if element.p != p:
-            raise ValueError(f"mismatched p: {element.p} != {p}")
-        pair = reduce(element)
-    else:
-        pair = evaluate(p, tuple(element))
+    if pair.p != p:
+        raise ValueError(f"mismatched p: {pair.p} != {p}")
+    pair = reduce(pair)
     if not is_right_spine(p, pair.target):
         raise NotPositiveError(
             "Fordham positive method inapplicable: element is not positive"

@@ -28,7 +28,6 @@ change, the end checks of zeta and xi, and the cross-form checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -256,8 +255,6 @@ def xi_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     return _enclose(_xi_y_eq(p), Fraction(1), Fraction(2), tol)
 
 
-# Bounded: xi_asymptotic asks for one tolerance per (p, precision) pair.
-@lru_cache(maxsize=64)
 def ln2_enclosure(err: Fraction = Fraction(1, 10**30)) -> tuple[Fraction, Fraction]:
     """(value, error bound) with |value - ln 2| <= error, via
     ln 2 = 2 atanh(1/3) = 2 sum_{k>=0} (1/3)^(2k+1) / (2k+1)."""

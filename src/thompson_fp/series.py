@@ -161,9 +161,6 @@ def _coerce(v, order: int) -> PowerSeries:
     raise TypeError(f"cannot treat {type(v).__name__} as a power series")
 
 
-DEFAULT_ORDER = 30
-
-
 def _solve_n_powers(p: int, order: int) -> list[list[int]]:
     """Coefficients 0..order+1 of N, N^2, ..., N^p (index j holds N^(j+1)).
 
@@ -191,21 +188,12 @@ def _p_products(p: int, order: int) -> list[PowerSeries]:
     return [one] + [one + PowerSeries.from_coeffs(c[2:]) for c in powers]
 
 
-def solve_M(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
+def solve_M(p: int, order: int) -> PowerSeries:
     """Middle-subtree product M = M_1...M_{p-1} = P_{p-1}, which solves
 
         M = 1 + x^-2 ((1 - x^3 M)^-(p-1) - 1)."""
     _check_p(p)
     return _p_products(p, order)[-1]
-
-
-def solve_Mi(p: int, i: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Middle-subtree series M_i = P_i / P_{i-1} for 1 <= i <= p-1."""
-    _check_p(p)
-    if not 1 <= i <= p - 1:
-        raise ValueError(f"middle index must be in 1..{p - 1}, got {i}")
-    ps = _p_products(p, order)
-    return ps[i] / ps[i - 1]
 
 
 class GrowthSeriesBundle(NamedTuple):
@@ -221,7 +209,7 @@ class GrowthSeriesBundle(NamedTuple):
         return series_to_ints(self.s)
 
 
-def positive_growth_series(p: int, order: int = DEFAULT_ORDER) -> GrowthSeriesBundle:
+def positive_growth_series(p: int, order: int) -> GrowthSeriesBundle:
     """All subtree series plus S, computed two ways and cross-checked."""
     _check_p(p)
     ps = _p_products(p, order)
@@ -251,7 +239,7 @@ def expand_rational(num: Sequence[int], den: Sequence[int], order: int) -> Power
     return n / d
 
 
-def check_eqonn(p: int, order: int = DEFAULT_ORDER) -> PowerSeries:
+def check_eqonn(p: int, order: int) -> PowerSeries:
     """Residual of x N^p + (x^3 - x - 1) N + 1 with N = (1 - x^3 M)^-1;
     identically zero when everything is consistent."""
     _check_p(p)

@@ -70,6 +70,8 @@ def test_brute_force_counts_the_language():
 def test_brute_force_guard_trips():
     with pytest.raises(BruteForceGuardError):
         count_language_bruteforce(2, 40)
+    with pytest.raises(ValueError, match="length must be >= 0, got -1"):
+        count_language_bruteforce(2, -1)
     assert 4 ** 11 <= BRUTE_FORCE_WORD_LIMIT < 4 ** 13
 
 

@@ -101,6 +101,10 @@ def test_rate_positive_exact_fractions(capsys):
     assert "/" in payload["value_low"] or isinstance(payload["value_low"], int)
     num, den = map(int, payload["value_low"].split("/"))
     assert 2.24 < num / den < 2.25
+    # a whole bound prints as a JSON int
+    code, payload = _run_json(capsys, ["rate", "positive", "--p", "2", "--tol", "1"])
+    assert code == 0
+    assert payload["value_low"] == 2 and isinstance(payload["value_low"], int)
 
 
 def test_rate_lower_bound_float(capsys):
@@ -232,6 +236,10 @@ def test_usage_error_exit_code(capsys):
         (["growth", "positive", "--p", "2"], "required: --n"),
         (["growth", "positive", "--p", "1", "--n", "3"], "must be >= 2, got 1"),
         (["nonsense"], "invalid choice"),
+        (["growth", "positive", "--p", "2", "--n", "abc"], "argument --n: 'abc' is not an integer"),
+        (["rate", "positive", "--p", "2", "--tol", "abc"],
+         "argument --tol: 'abc' is not a rational tolerance"),
+        (["rate", "positive", "--p", "2", "--tol", "0"], "argument --tol: tolerance must be positive"),
     ):
         errs = []
         for _ in range(2):

@@ -10,7 +10,6 @@ from thompson_fp.diagrams import (
     LEAF,
     PTree,
     TreePair,
-    caret,
     compose,
     equal,
     evaluate,
@@ -24,7 +23,6 @@ from thompson_fp.diagrams import (
     parse_tree,
     reduce,
     right_spine,
-    serialize_tree,
 )
 from thompson_fp.fordham import classify, tree_weight
 from thompson_fp.words import Letter, parse_word
@@ -32,7 +30,7 @@ from thompson_fp.words import Letter, parse_word
 
 def test_parse_serialize_round_trip():
     for text in ("L", "CLL", "CCLLL", "CLCLL"):
-        assert serialize_tree(parse_tree(2, text)) == text
+        assert str(parse_tree(2, text)) == text
     t = parse_tree(3, "CLCLLLL")
     assert num_carets(t) == 2
     assert num_leaves(t) == 5
@@ -54,13 +52,13 @@ def test_tree_api_children_and_round_trip(iter_trees):
         for c in range(top + 1):
             for t in iter_trees(p, c):
                 assert isinstance(t, PTree)
-                assert parse_tree(p, serialize_tree(t)) == t
+                assert parse_tree(p, str(t)) == t
                 if c == 0:
                     assert t.children is None
                     continue
                 kids = t.children
                 assert len(kids) == p and all(isinstance(k, PTree) for k in kids)
-                assert caret(kids) == t
+                assert "C" + "".join(kids) == t
 
 
 def test_leaf_count_formula():
@@ -69,21 +67,23 @@ def test_leaf_count_formula():
         t = right_spine(p, 5)
         assert num_carets(t) == 5
         assert num_leaves(t) == 5 * (p - 1) + 1
+    with pytest.raises(ValueError, match="caret count must be >= 0, got -1"):
+        right_spine(2, -1)
 
 
 def test_tree_pair_validates_leaf_counts():
     with pytest.raises(ValueError):
-        TreePair(2, caret((LEAF, LEAF)), LEAF)
+        TreePair(2, PTree("CLL"), LEAF)
     with pytest.raises(ValueError):
         TreePair(1, LEAF, LEAF)
     with pytest.raises(ValueError):
-        TreePair(p=2, source=LEAF, target=caret((LEAF, LEAF)))
+        TreePair(p=2, source=LEAF, target=PTree("CLL"))
 
 
 def test_tree_pair_is_read_only():
     pair = identity(2)
     with pytest.raises(AttributeError):
-        pair.source = caret((LEAF, LEAF))
+        pair.source = PTree("CLL")
     with pytest.raises(AttributeError):
         pair.extra = 1
     assert pair == TreePair(2, LEAF, LEAF) and hash(pair) == hash(TreePair(2, LEAF, LEAF))
@@ -91,7 +91,7 @@ def test_tree_pair_is_read_only():
 
 def test_generator_x0_shape():
     g = generator_pair(2, 0)
-    assert g.serialize() == "CCLLL|CLCLL"
+    assert str(g) == "CCLLL|CLCLL"
 
 
 def test_generator_leaf_position():
@@ -107,6 +107,10 @@ def test_generator_leaf_position():
 def test_generator_pair_is_the_evaluated_letter():
     for n in range(306):
         assert evaluate(2, (Letter(n, 1),)) == generator_pair(2, n)
+    with pytest.raises(ValueError, match="generator index must be >= 0, got -1"):
+        generator_pair(2, -1)
+    with pytest.raises(ValueError, match="generator index must be >= 0, got -1"):
+        evaluate(2, [Letter(-1, 1)])
 
 
 def test_identity_and_inverse():
@@ -115,14 +119,17 @@ def test_identity_and_inverse():
     assert equal(compose(g, invert(g)), e)
     assert equal(compose(invert(g), g), e)
     assert equal(compose(g, e), g)
+    for op in (compose, equal):
+        with pytest.raises(ValueError, match="mismatched p: 2 != 3"):
+            op(e, identity(3))
 
 
 def test_reduce_is_idempotent_and_canonical():
     w = parse_word("x0 x1 x1^-1 x0^-1")
     d = evaluate(2, w)
     r = reduce(d)
-    assert r.serialize() == identity(2).serialize()
-    assert reduce(r).serialize() == r.serialize()
+    assert str(r) == str(identity(2))
+    assert str(reduce(r)) == str(r)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -166,7 +173,7 @@ def test_evaluate_word_against_stepwise_compose():
                 gens = [generator_pair(p, a.index) for a in w]
                 gens = [g if a.sign > 0 else invert(g) for g, a in zip(gens, w)]
                 d = evaluate(p, w)
-                assert d.serialize() == _balanced_product(gens).serialize()
+                assert str(d) == str(_balanced_product(gens))
                 assert is_right_spine(p, d.target) or not positive
                 if is_right_spine(p, d.target) and d.source.children is not None:
                     classes = classify(p, d.source).classes
@@ -299,6 +306,6 @@ def test_letter_products_make_no_compose_or_reduce_call(monkeypatch):
     monkeypatch.setattr(diagrams, "reduce", refuse)
     assert evaluate(2, parse_word("x0 x1 x1^-1 x0^-1")) == identity(2)
     # The pair the whole-tree product gives for this word.
-    assert evaluate(3, parse_word("x5^-1 x0 x7 x2^-1")).serialize() == "CCLLLLCLLL|CLLCCLLLLL"
+    assert str(evaluate(3, parse_word("x5^-1 x0 x7 x2^-1"))) == "CCLLLLCLLL|CLLCCLLLLL"
     assert evaluate(3, (Letter(0, 1),) * 1000).source == "C" * 1001 + "L" * 2003
     assert oracle.bfs_group_ball(2, 4).sphere_sizes == (1, 4, 12, 36, 108)

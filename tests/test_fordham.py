@@ -1,15 +1,7 @@
 import pytest
 
 from thompson_fp import fordham
-from thompson_fp.diagrams import (
-    LEAF,
-    caret,
-    evaluate,
-    num_carets,
-    parse_tree,
-    reduce,
-    serialize_tree,
-)
+from thompson_fp.diagrams import LEAF, evaluate, num_carets, parse_tree, reduce
 from thompson_fp.fordham import (
     CARET_WEIGHTS,
     LEFT,
@@ -25,6 +17,10 @@ from thompson_fp.fordham import (
     tree_weight,
 )
 from thompson_fp.words import parse_word
+
+
+def _length(p, text):
+    return positive_length(p, evaluate(p, parse_word(text)))
 
 
 def test_weight_table():
@@ -43,6 +39,8 @@ def test_single_caret_is_root_only():
     ct = classify(2, t)
     assert [c.kind for c in ct.classes.values()] == [ROOT]
     assert ct.total_weight == 0
+    with pytest.raises(ValueError, match="the empty tree has no carets to classify"):
+        classify(2, LEAF)
 
 
 def test_x2_source_tree_classes():
@@ -52,34 +50,36 @@ def test_x2_source_tree_classes():
     kinds = sorted(c.kind for c in ct.classes.values())
     assert kinds == sorted([ROOT, RIGHT_FULL, MIDDLE_EMPTY, RIGHT_EMPTY])
     assert ct.total_weight == 3
-    assert positive_length(2, parse_word("x2")) == 3
+    assert _length(2, "x2") == 3
 
 
 def test_generators_have_expected_length():
     # x_0 .. x_{p-1} are the metric generators; higher indices cost more
-    assert [positive_length(2, parse_word(f"x{n}")) for n in range(4)] == [1, 1, 3, 5]
-    assert [positive_length(3, parse_word(f"x{n}")) for n in range(6)] == [1, 1, 1, 3, 3, 5]
+    assert [_length(2, f"x{n}") for n in range(4)] == [1, 1, 3, 5]
+    assert [_length(3, f"x{n}") for n in range(6)] == [1, 1, 1, 3, 3, 5]
 
 
 def test_length_is_spelling_independent():
     # same element, two spellings: x_2 x_1 = x_1 x_4 in F(3)
-    assert positive_length(3, parse_word("x2 x1")) == positive_length(3, parse_word("x1 x4"))
+    assert _length(3, "x2 x1") == _length(3, "x1 x4")
 
 
 def test_identity_length_zero():
-    assert positive_length(2, parse_word("1")) == 0
-    assert positive_length(2, parse_word("x0 x0^-1")) == 0
+    assert _length(2, "1") == 0
+    assert _length(2, "x0 x0^-1") == 0
 
 
 def test_rejects_non_positive():
     with pytest.raises(NotPositiveError) as err:
-        positive_length(2, parse_word("x1 x0^-1"))
+        _length(2, "x1 x0^-1")
     assert "not positive" in str(err.value)
 
 
 def test_accepts_tree_pair_input():
     d = reduce(evaluate(2, parse_word("x0 x2")))
     assert positive_length(2, d) == 2
+    with pytest.raises(ValueError, match="mismatched p: 2 != 3"):
+        positive_length(3, d)
 
 
 def test_middle_full_requires_successor_child():
@@ -147,19 +147,6 @@ def test_weight_table_is_read_live():
 def test_caret_count_consistency():
     t = reduce(evaluate(3, parse_word("x0 x1 x2 x0"))).source
     assert len(classify(3, t).classes) == num_carets(t)
-
-
-def test_classify_numbers_carets_by_position():
-    # one subtree object at several places is several carets, as in its copy
-    c = caret((LEAF, LEAF))
-    m = caret((LEAF, LEAF, LEAF))
-    for p, t in ((2, caret((c, c))), (3, caret((m, caret((m, LEAF, m)), m)))):
-        copy = parse_tree(p, serialize_tree(t))
-        ct, cc = classify(p, t), classify(p, copy)
-        assert ct.to_json() == cc.to_json()
-        assert list(ct.classes) == list(cc.classes)  # caret total order
-        assert len(ct.classes) == num_carets(t)
-        assert ct.total_weight == cc.total_weight == tree_weight(p, t)
 
 
 def test_tree_weight_rejects_unknown_kind():

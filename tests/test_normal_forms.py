@@ -100,6 +100,10 @@ def test_step_budget_bounds_the_rewriting(monkeypatch):
     assert to_infinite_nf(2, parse_word("x2 x0")) == parse_word("x0 x3")
     with pytest.raises(RuntimeError, match="step budget"):
         to_infinite_nf(2, parse_word("x1 x2 x0"))
+    rng = random.Random(0)
+    assert rewrite_random(2, parse_word("x2 x0"), rng) == parse_word("x0 x3")
+    with pytest.raises(RuntimeError, match="step budget"):
+        rewrite_random(2, parse_word("x1 x2 x0"), rng)
 
 
 def test_step_budget_counts_every_step_of_a_run(monkeypatch):

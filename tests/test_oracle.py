@@ -178,19 +178,25 @@ def test_census_guard_counts_trees_built(monkeypatch, capsys):
     )
 
 
-def test_middle_census_matches_solve_Mi():
+def test_middle_census_matches_the_series_bundle():
     # weighs every tree as a hanging M^i subtree through fordham.tree_weight
-    from thompson_fp.series import series_to_ints, solve_Mi
-
     for p, w in ((2, 8), (3, 6), (4, 5), (5, 4)):
+        mi = positive_growth_series(p, w + 1).mi
         for i in range(1, p):
             census = enumerate_middle_by_weight(p, i, w)
-            assert list(census) == series_to_ints(solve_Mi(p, i, w + 1)), (p, i)
+            assert list(census) == list(mi[i - 1].coeffs), (p, i)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"middle index must be in 1..2, got {i}"):
+            enumerate_middle_by_weight(3, i, 4)
+    with pytest.raises(ValueError, match="max_weight must be >= 0, got -1"):
+        enumerate_middle_by_weight(3, 1, -1)
 
 
 def test_census_counts_are_census_of_distinct_elements():
     census = enumerate_positive_by_weight(2, 4)
     assert census.counts == (1, 2, 4, 9, 20)
+    with pytest.raises(ValueError, match="max_weight must be >= 0, got -1"):
+        enumerate_positive_by_weight(2, -1)
 
 
 def test_bfs_ball_f2():
@@ -200,6 +206,8 @@ def test_bfs_ball_f2():
     # each witness word evaluates to the element it is recorded for
     for pair, w in itertools.islice(stats.elements.items(), 20):
         assert evaluate(2, w) == pair
+    with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+        bfs_group_ball(2, -1)
 
 
 def test_ball_repr_leaves_out_the_elements():

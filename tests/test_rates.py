@@ -150,16 +150,27 @@ def test_bad_tolerance_rejected():
         zeta(2, F(-1, 10))
 
 
+@pytest.mark.parametrize("route, builder, sign, message", [
+    (zeta, "_zeta_eq", 1, "expected a sign change below x = 1/3"),
+    (zeta, "_zeta_eq", -1, "expected f > 0 at x = 1/6"),
+    (zeta, "_zeta_y_eq", 1, "reciprocal-form polynomial does not bracket the root"),
+    (xi, "_xi_eq", 1, "expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2"),
+    (xi, "_xi_direct_eq", 1, "direct-form polynomial does not bracket the root"),
+    (xi, "_xi_y_eq", 1, "y-form polynomial does not bracket the root"),
+])
+def test_rate_certificates_fire(monkeypatch, route, builder, sign, message):
+    # an equation whose form is a constant of the wrong sign fails its check
+    real = getattr(rates, builder)
+    monkeypatch.setattr(rates, builder, lambda p: real(p)._replace(form=lambda a, q: sign))
+    with pytest.raises(ArithmeticError) as err:
+        route(3)
+    assert str(err.value) == message
+
+
 def test_ln2_enclosure():
     val, err = ln2_enclosure(F(1, 10**12))
     assert err <= F(1, 10**12)
     assert abs(float(val) - math.log(2)) < 1e-11
-
-
-def test_ln2_memo_is_bounded():
-    for p in range(2, 100):
-        xi_asymptotic(p)
-    assert ln2_enclosure.cache_info().currsize <= 64
 
 
 def test_asymptotic_formula():
@@ -182,6 +193,8 @@ def test_rate_report_shape():
         assert row.bounds_ok
         assert row.zeta.low < row.xi.low  # xi exceeds zeta for all p
         assert 0 < row.lambda_excess < F(1, 2)
+    with pytest.raises(ValueError, match="p_max must be >= 2, got 1"):
+        rate_report(1)
 
 
 def test_xi_asymptotic_precision_is_proven():

@@ -12,7 +12,6 @@ from thompson_fp.series import (
     positive_growth_series,
     series_to_ints,
     solve_M,
-    solve_Mi,
 )
 
 F = Fraction
@@ -25,6 +24,8 @@ def test_arithmetic_basics():
     assert (a - b).coeffs == (F(0), F(1), F(2))
     assert (a * b).coeffs == (F(1), F(3), F(6))
     assert (2 * a).coeffs == (F(2), F(4), F(6))
+    with pytest.raises(TypeError, match="cannot treat float as a power series"):
+        PowerSeries.one(3) + 1.5
 
 
 def test_series_is_read_only():
@@ -147,11 +148,11 @@ def test_solve_M_satisfies_its_equation():
         assert (lhs - rhs).is_zero
 
 
-def test_solve_Mi_product_telescopes():
+def test_middle_series_product_telescopes():
     p, order = 4, 12
     prod = PowerSeries.one(order)
-    for i in range(1, p):
-        prod = prod * solve_Mi(p, i, order)
+    for m_i in positive_growth_series(p, order).mi:
+        prod = prod * m_i
     assert (prod - solve_M(p, order)).is_zero
 
 

@@ -42,6 +42,10 @@ def test_parse_error_reports_position():
 def test_letter_inverse():
     assert x(4).inverse() == x(4, -1)
     assert x(4, -1).inverse() == x(4)
+    with pytest.raises(ValueError, match="generator index must be >= 0, got -1"):
+        x(-1)
+    with pytest.raises(ValueError, match="sign must be \\+1 or -1, got 2"):
+        x(0, 2)
 
 
 def test_letter_is_hashable_and_ordered_tuple():
