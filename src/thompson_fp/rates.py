@@ -1,28 +1,30 @@
 """Certified rational enclosures for the growth rates attached to F(p).
 
-zeta(p): growth rate of the positive monoid, 1/x* where x* is the smallest
-positive root of (1 - x^2)^(p-1) (1 + x - x^2) = 1; equivalently y = 1/x
-solves (y^2 - 1)^(p-1) (y^2 + y - 1) = y^(2p).  Satisfies p < zeta < p + 1/2.
+zeta(p): growth rate of the positive monoid, the root in (p, p + 1/2) of
+(y^2 - 1)^(p-1) (y^2 + y - 1) = y^(2p); equivalently x = 1/y is the smallest
+positive root of (1 - x^2)^(p-1) (1 + x - x^2) = 1.  Satisfies p < zeta < p + 1/2.
 
 xi(p): exponential growth rate of the normal form language L_p (a lower
-bound for the group growth rate), 1/t* where t* is the unique root in
-(0, 1/2] of (1 - t)^p + (1 - t)^(p-1) = 1; equivalently xi solves
-(2 xi - 1)(xi - 1)^(p-1) = xi^p, and y = (1 - t)^-1 solves y^p = y + 1.
+bound for the group growth rate), the root z > 1 of (2z - 1)(z - 1)^(p-1) = z^p;
+equivalently t = 1/z is the unique root in (0, 1/2] of
+(1 - t)^p + (1 - t)^(p-1) = 1, and y = (1 - t)^-1 = z/(z - 1) solves y^p = y + 1.
 Asymptotically xi(p) = (p - 1/2)/ln 2 + 1/2 + o(1).
 
-All arithmetic is exact.  Each of the five root equations f(x) = 0 is one
-piece of data: its homogeneous integer form F(a, q) = q^d f(a/q), its printed
-text, and the Moebius map (alpha x + beta)/(gamma x + delta) from its root x
-to the rate: x, 1/x or y/(y - 1).  One routine, `_enclose`, serves all five
-routes.  It bisects on integers a < b over one shared q > 0; F(a, q) has
-exactly the sign of f(a/q), so there is no rounding and no gcd.  It stops
+All arithmetic is exact.  Each rate's equation g(z) = 0 of degree d is written
+once, as its homogeneous integer form G(A, Q) = Q^d g(A/Q).  The five routes
+read it through a Moebius map z = (alpha x + beta)/(gamma x + delta) from the
+route's root x to the rate: x, 1/x or y/(y - 1).  The route's form is then
+F(a, q) = G(alpha a + beta q, gamma a + delta q), which is q^d f(a/q) for the
+polynomial f(x) = (gamma x + delta)^d g(z), so F(a, q) has the sign of f(a/q).
+One routine, `_enclose`, serves all five routes.  It bisects on integers
+a < b over one shared q > 0, so there is no rounding and no gcd.  It stops
 once the rate's width over the bracket [a/q, b/q],
 |alpha delta - beta gamma| q (b - a) / ((gamma a + delta q)(gamma b + delta q)),
 is at most tol, compared in integers; while the denominator product is not
 > 0, a pole lies in the bracket and the test fails.  The bracket keeps a sign
 change of f, so its image, the enclosure, is guaranteed to contain the rate.
 Every certificate is an integer sign test of a form: the bracket's sign
-change, the end checks of zeta and xi, and the cross-form checks.
+change, and the end checks of zeta and xi.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class RateResult(NamedTuple):
     @property
     def midpoint(self) -> Fraction:
         return (self.low + self.high) / 2
-
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
 
 
 def _bisect(form: _Form, lo: Fraction, hi: Fraction, done: _Done) -> tuple[Fraction, Fraction]:
@@ -135,12 +133,6 @@ class _Equation(NamedTuple):
         """The form at x's lowest terms, an int with the sign of f(x)."""
         return self.form(*x.as_integer_ratio())
 
-    def brackets(self, low: Fraction, high: Fraction) -> bool:
-        """True if f vanishes or changes sign between the roots whose rates
-        are low and high."""
-        fl, fh = map(self.at, _image(self.rate, low, high))
-        return min(fl, fh) <= 0 <= max(fl, fh)
-
 
 def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateResult:
     """Bisect eq on [lo, hi] until its rate is enclosed within tol."""
@@ -148,67 +140,39 @@ def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateRe
     return RateResult(eq.p, *_image(eq.rate, lo, hi), eq.text)
 
 
-# The root equations.  Each checks p, so a route checks p before tol.
+# The two root equations, each read through the map from a route's root to
+# the rate.  Each builder checks p, so a route checks p before tol.
 
 
-def _zeta_eq(p: int) -> _Equation:
-    """f(x) = (1 - x^2)^(p-1) (1 + x - x^2) - 1, rate 1/x."""
+def _zeta_eq(p: int, rate: _Map, text: str) -> _Equation:
+    """g(y) = (y^2 - 1)^(p-1) (y^2 + y - 1) - y^(2p) at y = rate(x)."""
     _check_p(p)
+    al, be, ga, de = rate
 
     def form(a: int, q: int) -> int:
-        qq = q * q
-        c = qq - a * a
-        return c ** (p - 1) * (c + a * q) - qq**p
-
-    return _Equation(p, form, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
-
-
-def _zeta_y_eq(p: int) -> _Equation:
-    """g(y) = (y^2 - 1)^(p-1) (y^2 + y - 1) - y^(2p), rate y."""
-    _check_p(p)
-
-    def form(a: int, q: int) -> int:
+        a, q = al * a + be * q, ga * a + de * q
         aa = a * a
         c = aa - q * q
         return c ** (p - 1) * (c + a * q) - aa**p
 
-    return _Equation(p, form, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
+    return _Equation(p, form, rate, text)
 
 
-def _xi_eq(p: int) -> _Equation:
-    """f(t) = (1 - t)^p + (1 - t)^(p-1) - 1, rate 1/t."""
+def _xi_eq(p: int, rate: _Map, text: str) -> _Equation:
+    """g(z) = (2z - 1)(z - 1)^(p-1) - z^p at z = rate(x)."""
     _check_p(p)
+    al, be, ga, de = rate
 
     def form(a: int, q: int) -> int:
-        c = q - a
-        return c ** (p - 1) * (c + q) - q**p
-
-    return _Equation(p, form, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
-
-
-def _xi_direct_eq(p: int) -> _Equation:
-    """g(z) = (2z - 1)(z - 1)^(p-1) - z^p, rate z."""
-    _check_p(p)
-
-    def form(a: int, q: int) -> int:
+        a, q = al * a + be * q, ga * a + de * q
         return (2 * a - q) * (a - q) ** (p - 1) - a**p
 
-    return _Equation(p, form, _X, "(2z-1)(z-1)^(p-1)=z^p")
-
-
-def _xi_y_eq(p: int) -> _Equation:
-    """h(y) = y^p - y - 1, rate y/(y - 1)."""
-    _check_p(p)
-
-    def form(a: int, q: int) -> int:
-        return a**p - (a + q) * q ** (p - 1)
-
-    return _Equation(p, form, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
+    return _Equation(p, form, rate, text)
 
 
 def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Positive-monoid growth rate with enclosure width <= tol."""
-    f = _zeta_eq(p)
+    f = _zeta_eq(p, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
     hi = Fraction(1, p)
     if f.at(hi) >= 0:
         raise ArithmeticError(f"expected a sign change below x = 1/{p}")
@@ -219,40 +183,35 @@ def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     lo = hi / 2
     if f.at(lo) <= 0:
         raise ArithmeticError(f"expected f > 0 at x = 1/{2 * p}")
-    r = _enclose(f, lo, hi, tol)
-    if not _zeta_y_eq(p).brackets(r.low, r.high):
-        raise ArithmeticError("reciprocal-form polynomial does not bracket the root")
-    return r
+    return _enclose(f, lo, hi, tol)
 
 
 def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Independent route: bisect (y^2-1)^(p-1)(y^2+y-1) - y^(2p) on [p, p+1/2]."""
-    return _enclose(_zeta_y_eq(p), Fraction(p), Fraction(2 * p + 1, 2), tol)
+    f = _zeta_eq(p, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
+    return _enclose(f, Fraction(p), Fraction(2 * p + 1, 2), tol)
 
 
 def xi(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Language growth rate (group growth lower bound), width <= tol."""
-    f = _xi_eq(p)
+    f = _xi_eq(p, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
     if f.at(Fraction(1, 2)) >= 0:
         raise ArithmeticError("expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2")
-    r = _enclose(f, Fraction(0), Fraction(1, 2), tol)
-    # Cross-checks: both alternate forms must change sign over the enclosure.
-    if not _xi_direct_eq(p).brackets(r.low, r.high):
-        raise ArithmeticError("direct-form polynomial does not bracket the root")
-    if not _xi_y_eq(p).brackets(r.low, r.high):
-        raise ArithmeticError("y-form polynomial does not bracket the root")
-    return r
+    return _enclose(f, Fraction(0), Fraction(1, 2), tol)
 
 
 def xi_via_direct(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Independent route: bisect (2z-1)(z-1)^(p-1) - z^p on [1, 2p]."""
-    return _enclose(_xi_direct_eq(p), Fraction(1), Fraction(2 * p), tol)
+    f = _xi_eq(p, _X, "(2z-1)(z-1)^(p-1)=z^p")
+    return _enclose(f, Fraction(1), Fraction(2 * p), tol)
 
 
 def xi_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Independent route: bisect y^p - y - 1 on [1, 2]; rate = y/(y - 1).
+    Through y/(y - 1), xi's form is -(y^p - y - 1), which has the same roots.
     h(1) = -1 < 0 and h(2) = 2^p - 3 > 0 bracket the root for every p >= 2."""
-    return _enclose(_xi_y_eq(p), Fraction(1), Fraction(2), tol)
+    f = _xi_eq(p, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
+    return _enclose(f, Fraction(1), Fraction(2), tol)
 
 
 def ln2_enclosure(err: Fraction = Fraction(1, 10**30)) -> tuple[Fraction, Fraction]:

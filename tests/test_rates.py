@@ -49,7 +49,26 @@ def test_zeta_two_forms_agree():
 def test_zeta_left_endpoint_is_positive():
     # zeta brackets its root on [1/(2p), 1/p] with no search: f(1/(2p)) > 0
     for p in range(2, 201):
-        assert rates._zeta_eq(p).at(F(1, 2 * p)) > 0, p
+        assert rates._zeta_eq(p, _ONE_OVER_X, "").at(F(1, 2 * p)) > 0, p
+
+
+def test_each_route_form_is_its_printed_polynomial():
+    # the two forms read through each route's map, on a grid of small (a, q)
+    printed = [
+        (rates._zeta_eq, _ONE_OVER_X,
+         lambda p, a, q: (q * q - a * a) ** (p - 1) * (q * q - a * a + a * q) - q ** (2 * p)),
+        (rates._zeta_eq, _X,
+         lambda p, a, q: (a * a - q * q) ** (p - 1) * (a * a - q * q + a * q) - a ** (2 * p)),
+        (rates._xi_eq, _ONE_OVER_X, lambda p, a, q: (q - a) ** (p - 1) * (2 * q - a) - q**p),
+        (rates._xi_eq, _X, lambda p, a, q: (2 * a - q) * (a - q) ** (p - 1) - a**p),
+        (rates._xi_eq, _Y_OVER_Y_MINUS_1, lambda p, a, q: -(a**p - (a + q) * q ** (p - 1))),
+    ]
+    for builder, rate, poly in printed:
+        for p in range(2, 10):
+            form = builder(p, rate, "").form
+            for a in range(-4, 6):
+                for q in range(-3, 6):
+                    assert form(a, q) == poly(p, a, q), (builder.__name__, rate, p, a, q)
 
 
 def test_xi_reference_values():
@@ -77,7 +96,6 @@ def test_rate_result_fields():
     r = xi(3, DEFAULT_TOL)
     assert r.p == 3
     assert r.low <= r.midpoint <= r.high
-    assert r.width == r.high - r.low
     assert "rate" in r.equation
     with pytest.raises(AttributeError):
         r.low = r.high
@@ -140,7 +158,7 @@ def test_image_orders_the_ends_and_each_map_is_its_own_inverse():
 def test_tolerance_is_respected():
     for tol in (F(1, 100), F(1, 10**6)):
         r = xi(4, tol)
-        assert r.width <= tol
+        assert r.high - r.low <= tol
 
 
 def test_bad_tolerance_rejected():
@@ -153,15 +171,15 @@ def test_bad_tolerance_rejected():
 @pytest.mark.parametrize("route, builder, sign, message", [
     (zeta, "_zeta_eq", 1, "expected a sign change below x = 1/3"),
     (zeta, "_zeta_eq", -1, "expected f > 0 at x = 1/6"),
-    (zeta, "_zeta_y_eq", 1, "reciprocal-form polynomial does not bracket the root"),
     (xi, "_xi_eq", 1, "expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2"),
-    (xi, "_xi_direct_eq", 1, "direct-form polynomial does not bracket the root"),
-    (xi, "_xi_y_eq", 1, "y-form polynomial does not bracket the root"),
 ])
 def test_rate_certificates_fire(monkeypatch, route, builder, sign, message):
     # an equation whose form is a constant of the wrong sign fails its check
     real = getattr(rates, builder)
-    monkeypatch.setattr(rates, builder, lambda p: real(p)._replace(form=lambda a, q: sign))
+    monkeypatch.setattr(
+        rates, builder,
+        lambda p, rate, text: real(p, rate, text)._replace(form=lambda a, q: sign),
+    )
     with pytest.raises(ArithmeticError) as err:
         route(3)
     assert str(err.value) == message
