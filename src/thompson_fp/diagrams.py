@@ -58,6 +58,11 @@ from typing import Iterable, NamedTuple
 
 from .words import Letter, _check_p
 
+# The longest tree string a one-generator product grows.  One letter x_n
+# alone grows both trees to more than n characters, so an index of 10**8
+# would need gigabytes before any other letter is read.
+DIAGRAM_SIZE_LIMIT = 10**7
+
 
 class PTree(str):
     """A p-ary tree as its preorder string.  `children` is None for a leaf,
@@ -280,6 +285,12 @@ def _times_generator(p: int, s: str, t: str, n: int, sign: int) -> tuple[str, st
         d += 1
     grown = t[q] == "L"
     if grown:  # the spine stops at depth d: grow it to `top` in both trees
+        size = len(t) + (top - d + 1) * p
+        if size > DIAGRAM_SIZE_LIMIT:
+            raise ValueError(
+                f"generator index {n} grows the trees to {size} characters, "
+                f"more than DIAGRAM_SIZE_LIMIT = {DIAGRAM_SIZE_LIMIT}"
+            )
         grow = ("C" + "L" * (p - 1)) * (top - d + 1)
         s, t = s[:-1] + grow + "L", t[:-1] + grow + "L"
         if top > d:

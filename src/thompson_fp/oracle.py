@@ -475,8 +475,9 @@ def verify_suite(p: int, profile: str = "small") -> VerifyReport:
     if profile not in _PROFILES:
         raise ValueError(f"profile must be one of {sorted(_PROFILES)}, got {profile!r}")
     cfg = _PROFILES[profile]
+    ball = bfs_group_ball(p, cfg["radius"])  # its guard refuses before the long walk
     counts = automaton_mod.language_counts(p, cfg["lang_order"])
-    run = _Run(p, cfg, random.Random(0), bfs_group_ball(p, cfg["radius"]), counts)
+    run = _Run(p, cfg, random.Random(0), ball, counts)
     checks = []
     for name, check in _CHECKS:
         try:

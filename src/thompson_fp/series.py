@@ -20,8 +20,8 @@ Writing M = M_1...M_{p-1}, the middle equations telescope to
 so M solves x^2 M = (1 - x^3 M)^-(p-1) + x^2 - 1, each M_i = P_i / P_{i-1},
 and everything collapses to
 
-    L = 1 / (1 - x M),   R = (1 - x^2) M_{p-1} / (1 - x^2 M),
-    S = (1 - x^2) M / ((1 - x M)(1 - x^2 M)).
+    L = 1 / (1 - x M),   Q = 1 / (1 - x^2 M),   R = (1 - x^2) M_{p-1} Q,
+    S = (1 - x^2) M / ((1 - x M)(1 - x^2 M)) = (1 + x)(L - Q) / x.
 
 With N = (1 - x^3 M)^-1 the master equation becomes
 x N^p + (x^3 - x - 1) N + 1 = 0.
@@ -29,10 +29,10 @@ x N^p + (x^3 - x - 1) N + 1 = 0.
 The series is solved once, in integers, from that equation: rearranged to
 (1 + x - x^3) N = 1 + x N^p it is a triangular recurrence for the
 coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
-read from N^i, then M = P_{p-1}, and each of M_i = P_i / P_{i-1}, L, R and
-S is one exact division.  Each partial product M_1...M_k is checked against
-the P_k it was divided from, and the factored route L (M_1...M_{p-2}) R
-reuses the last of them to cross-check the closed route to S.
+read from N^i, then M = P_{p-1}; each M_i = P_i / P_{i-1}, L and Q (at
+order n + 1, so that (L - Q)/x keeps order n) is one exact division.  The
+factored route L M_1...M_{p-2} R multiplies the quotients themselves, so
+its one comparison with S fails if any division is wrong.
 """
 
 from __future__ import annotations
@@ -215,21 +215,20 @@ def positive_growth_series(p: int, order: int) -> GrowthSeriesBundle:
     ps = _p_products(p, order)
     m = ps[-1]
     mi = tuple(ps[i] / ps[i - 1] for i in range(1, p))
-    partial = [ps[0]]  # M_1...M_k, each checked against the P_k it came from
-    for k, m_k in enumerate(mi, 1):
-        partial.append(partial[-1] * m_k)
-        if partial[k] != ps[k]:
-            raise ArithmeticError(f"product M_1...M_{k} disagrees with P_{k}")
-    one = PowerSeries.one(order)
-    x = PowerSeries.x(order)
-    x2 = x * x
-    l = one / (one - x * m)
-    r = (one - x2) * mi[-1] / (one - x2 * m)
-    s_closed = (one - x2) * m / ((one - x * m) * (one - x2 * m))
-    s_factored = l * partial[p - 2] * r
-    if s_closed != s_factored:
+    one = PowerSeries.one(order + 1)
+    xm = PowerSeries((0,) + m.coeffs)  # x M, and below x^2 M, at order n + 1
+    l = one / (one - xm)
+    q = one / (one - PowerSeries((0,) + xm.coeffs[:-1]))
+    lq = PowerSeries((l - q).coeffs[1:])  # (L - Q)/x: L and Q both start at 1
+    s = lq + PowerSeries((0,) + lq.coeffs)
+    mq = mi[-1] * q
+    r = mq - PowerSeries((0, 0) + mq.coeffs)
+    s_factored = l * r
+    for m_i in mi[:-1]:
+        s_factored = s_factored * m_i
+    if s != s_factored:
         raise ArithmeticError("the two routes to S disagree")
-    return GrowthSeriesBundle(p, order, mi, m, l, r, s_closed)
+    return GrowthSeriesBundle(p, order, mi, m, l.truncate(order), r, s)
 
 
 def expand_rational(num: Sequence[int], den: Sequence[int], order: int) -> PowerSeries:

@@ -352,3 +352,15 @@ def test_console_script_entry_point():
     # packaging wires thompson-fp to cli.main (tomllib is 3.11+, so scan text)
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'thompson-fp = "thompson_fp.cli:main"' in text
+
+
+def test_word_commands_refuse_a_generator_past_the_size_limit(capsys):
+    # x_n alone needs trees of about n characters; refused before any is built
+    for command, *words in (
+        ("eval", "x100000000"), ("length", "x0 x100000000^-1"), ("equal", "x0", "x100000000"),
+    ):
+        code = run([command, "--p", "2", *words])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", command
+        assert "index 100000000 grows the trees to 2000000" in captured.err
+        assert "DIAGRAM_SIZE_LIMIT = 10000000" in captured.err

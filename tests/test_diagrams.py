@@ -309,3 +309,16 @@ def test_letter_products_make_no_compose_or_reduce_call(monkeypatch):
     assert str(evaluate(3, parse_word("x5^-1 x0 x7 x2^-1"))) == "CCLLLLCLLL|CLLCCLLLLL"
     assert evaluate(3, (Letter(0, 1),) * 1000).source == "C" * 1001 + "L" * 2003
     assert oracle.bfs_group_ball(2, 4).sphere_sizes == (1, 4, 12, 36, 108)
+
+
+def test_evaluate_refuses_a_spine_past_the_size_limit(monkeypatch):
+    # x3 at p=2 grows both trees from "L" to R_4, "CL" * 4 + "L": 9 characters;
+    # after x0 the trees hold R_2 and grow by the other two carets to the same
+    monkeypatch.setattr(diagrams, "DIAGRAM_SIZE_LIMIT", 9)
+    assert str(evaluate(2, parse_word("x3"))) == "CLCLCLCCLLL|CLCLCLCLCLL"
+    assert str(evaluate(2, parse_word("x0 x3"))) == "CCLLCLCCLLL|CLCLCLCLCLL"
+    monkeypatch.setattr(diagrams, "DIAGRAM_SIZE_LIMIT", 8)
+    message = "grows the trees to 9 characters, more than DIAGRAM_SIZE_LIMIT = 8"
+    for w in ("x3", "x0 x3", "x2^-1"):
+        with pytest.raises(ValueError, match=message):
+            evaluate(2, parse_word(w))

@@ -363,3 +363,20 @@ def test_verify_reports_an_arithmetic_error_as_one_failed_check(monkeypatch):
     assert len(report.checks) == 10
     failed = [c for c in report.checks if not c.passed]
     assert [(c.name, c.details) for c in failed] == [("census-vs-series", "boom")]
+
+
+def test_verify_refuses_a_ball_before_the_language_walk(monkeypatch):
+    from thompson_fp import automaton
+
+    orders = []
+    counts = automaton.language_counts
+
+    def recorded(p, order):
+        orders.append(order)
+        return counts(p, order)
+
+    monkeypatch.setattr(automaton, "language_counts", recorded)
+    monkeypatch.setattr(oracle, "BALL_SIZE_LIMIT", 100)
+    with pytest.raises(EnumerationGuardError, match="radius 4 .*BALL_SIZE_LIMIT = 100"):
+        verify_suite(2, "small")
+    assert orders and oracle._PROFILES["small"]["lang_order"] not in orders

@@ -185,27 +185,28 @@ def test_bundle_is_consistent():
         assert all(type(c) is int for c in ps.coeffs)
 
 
-@pytest.mark.parametrize(
-    "bad_call, message",
-    [(0, "M_1 disagrees with P_1"), (1, "M_1...M_2 disagrees with P_2"),
-     (2, "two routes to S"), (3, "two routes to S"), (4, "two routes to S")],
-)
-def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, bad_call, message):
-    # at p=3 the divisions run M_1, M_2, L, R, S; spoil the last coefficient
-    # of one of them and the check downstream of it must fire
+@pytest.mark.parametrize("p, bad_call", [(p, k) for p in (2, 3, 4, 6) for k in range(p + 1)])
+def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, p, bad_call):
+    # a bundle divides p + 1 times, for M_1 .. M_{p-1}, L and Q; add 1 to
+    # the last coefficient of one quotient and the one check must fire
     div = PowerSeries.__truediv__
-    calls = []
+    calls, spoiled = [], []
 
     def spoiled_div(self, other):
         q = div(self, other)
-        calls.append(1)
-        if len(calls) == bad_call + 1:
+        if len(calls) == bad_call:
             q = q + PowerSeries.from_coeffs([0] * (q.order - 1) + [1])
+            spoiled.append(len(calls))
+        calls.append(1)
         return q
 
     monkeypatch.setattr(PowerSeries, "__truediv__", spoiled_div)
-    with pytest.raises(ArithmeticError, match=re.escape(message)):
-        positive_growth_series(3, 12)
+    for order in (1, 2, 5, 12):
+        calls.clear()
+        spoiled.clear()
+        with pytest.raises(ArithmeticError, match=re.escape("the two routes to S disagree")):
+            positive_growth_series(p, order)
+        assert spoiled == [bad_call] and len(calls) == p + 1, order
 
 
 def test_order_zero_has_no_bundle():
