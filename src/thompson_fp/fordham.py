@@ -101,11 +101,29 @@ class ClassifiedTree(NamedTuple):
         }
 
 
-# A tree over F(p) needs at most p + 2 entries; the bound keeps the memo from
-# growing with every p a long process weighs.
-@lru_cache(maxsize=64)
-def _child_kinds(p: int, kind: str, mid_i: int) -> tuple[int, tuple[tuple[str, int], ...]]:
-    """(number of predecessor children, (kind, middle index) per child position)."""
+_ChildKinds = tuple[int, tuple[tuple[str, int], ...]]
+
+
+# One memo per p, keyed by (kind, middle index) and filled on first use: a
+# tree over F(p) needs at most p + 2 entries, however large p is.  The bound
+# on the values of p keeps the memo from growing with every p a long process
+# weighs.
+@lru_cache(maxsize=8)
+def _kind_memo(p: int) -> dict[tuple[str, int], _ChildKinds]:
+    return {}
+
+
+def _child_kinds(p: int, kind: str, mid_i: int) -> _ChildKinds:
+    """(number of predecessor children, (kind, middle index) per child
+    position), from the memo of p."""
+    memo = _kind_memo(p)
+    found = memo.get((kind, mid_i))
+    if found is None:
+        found = memo[kind, mid_i] = _make_child_kinds(p, kind, mid_i)
+    return found
+
+
+def _make_child_kinds(p: int, kind: str, mid_i: int) -> _ChildKinds:
     if kind == ROOT:
         return 1, ((LEFT, 0),) + tuple((MIDDLE, c) for c in range(1, p - 1)) + ((RIGHT, 0),)
     if kind == LEFT:
@@ -141,6 +159,7 @@ def _pass(
     # Per open caret: [predecessor count, child kinds, caret, its kind, next
     # position]; the tree is the last child of a parent that is no caret.
     last = p - 1
+    memo = _kind_memo(p)
     stack: list[list] = [[p, ((kind, mid_i),) * p, -1, None, last]]
     for ch in tree:
         top = stack[-1]
@@ -157,7 +176,7 @@ def _pass(
             continue
         if pkind == MIDDLE and pos >= npred:
             classes[parent] = MIDDLE_FULL  # a successor child is a caret
-        ck, ci = kinds[pos]
+        ck, ci = child = kinds[pos]
         idx = len(classes)
         if ck == MIDDLE:
             classes.append(MIDDLE_EMPTY)
@@ -165,7 +184,7 @@ def _pass(
         else:
             classes.append(RIGHT_EMPTY if ck == RIGHT else ck)
         mids.append(ci if ck == MIDDLE else None)
-        stack.append([*_child_kinds(p, ck, ci), idx, ck, 0])
+        stack.append([*(memo.get(child) or _child_kinds(p, ck, ci)), idx, ck, 0])
     # A right caret lies on the rightmost path, so the carets after it in the
     # total order are those from its child 1 on: it is full if one is middle.
     for idx, mark in rights:

@@ -8,8 +8,11 @@ meaningful evidence:
     that builds, as preorder strings, only the p-trees which can weigh <= W
     and whose spine ends at a hanging caret, filtered by reducedness,
     weighed by the Fordham rules and histogrammed by weight -> positive
-    growth counts.  enumerate_middle_by_weight histograms the same
-    walk's list of hanging middle subtrees -> the M_i series.
+    growth counts.  It refuses a weight table in which a left, middle or
+    right_full caret weighs < 1, so a spent budget leaves room for leaves
+    only: the walk then draws all the remaining hanging children as leaves
+    in one step.  enumerate_middle_by_weight histograms the same walk's
+    list of hanging middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
     generators x_0^±1 .. x_{p-1}^±1, one record per element: its reduced
     diagram mapped to a geodesic word -> word lengths and sphere sizes.
@@ -26,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import automaton as automaton_mod
@@ -49,14 +51,6 @@ def is_reduced_positive_tree(p: int, tree: PTree) -> bool:
     return tree == "L" or not tree.endswith("C" + "L" * p)
 
 
-# A tree over F(p) needs at most p + 2 entries, as in fordham._child_kinds.
-@lru_cache(maxsize=64)
-def _hanging_kinds(p: int, kind: str, i: int) -> tuple[tuple[str, int], ...]:
-    """(kind, middle index) of each child position of a `kind` caret that
-    holds a hanging subtree: every position but a right child's."""
-    return tuple(k for k in fordham._child_kinds(p, kind, i)[1] if k[0] != fordham.RIGHT)
-
-
 # The classes the census prune takes to weigh >= 1: a hanging caret is left
 # or middle, and every right caret above the deepest one is right_full.
 _PRUNE_CLASSES = (fordham.LEFT, fordham.MIDDLE_EMPTY, fordham.MIDDLE_FULL, fordham.RIGHT_FULL)
@@ -68,7 +62,12 @@ class _Walk:
     subtrees by (kind, middle index, budget) and counts every tree it builds
     against TREE_ENUMERATION_LIMIT.  `_hanging` and `_draw` recurse on the
     budget, which each level lowers by one, and on the p child kinds, never
-    on the depth of a tree; the spine is walked with an explicit stack."""
+    on the depth of a tree; the spine is walked with an explicit stack.
+
+    It refuses, when it starts, a weight table in which a left, middle or
+    right_full caret weighs less than 1.  So every caret of a hanging
+    subtree lowers the budget, and at a budget of 0 every hanging child is
+    a leaf: `_draw` then yields the all-leaf choice in one step."""
 
     def __init__(self, p: int):
         weights = fordham.CARET_WEIGHTS
@@ -79,6 +78,7 @@ class _Walk:
         self.built = 0
         self._right_full = weights[fordham.RIGHT_FULL]
         self._lists: dict[tuple[str, int, int], list[tuple[PTree, int]]] = {}
+        self._kinds: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
 
     def _count(self) -> None:
         self.built += 1
@@ -88,6 +88,15 @@ class _Walk:
                 f"lower max_weight"
             )
 
+    def _hanging_kinds(self, kind: str, i: int) -> tuple[tuple[str, int], ...]:
+        """(kind, middle index) of each child position of a `kind` caret that
+        holds a hanging subtree: every position but a right child's."""
+        found = self._kinds.get((kind, i))
+        if found is None:
+            kinds = fordham._child_kinds(self.p, kind, i)[1]
+            found = self._kinds[kind, i] = tuple(k for k in kinds if k[0] != fordham.RIGHT)
+        return found
+
     def _hanging(self, kind: str, i: int, budget: int) -> list[tuple[PTree, int]]:
         """Every subtree hung as a `kind` (M^i) child that weighs <= budget,
         with its weight.  Each of its carets weighs >= 1, so the children of
@@ -96,7 +105,7 @@ class _Walk:
         found = self._lists.get(key)
         if found is None:
             found = [(LEAF, 0)]
-            for kids, _ in self._draw(_hanging_kinds(self.p, kind, i), budget - 1):
+            for kids, _ in self._draw(self._hanging_kinds(kind, i), budget - 1):
                 self._count()
                 tree = PTree("C" + kids)
                 w = fordham.tree_weight(self.p, tree, kind, i)
@@ -107,11 +116,14 @@ class _Walk:
 
     def _draw(self, kinds: tuple[tuple[str, int], ...], budget: int) -> Iterator[tuple[str, int]]:
         """Every choice of hanging subtrees of the given kinds whose weights
-        sum to <= budget, as their preorder strings joined, with that sum."""
+        sum to <= budget, as their preorder strings joined, with that sum.
+        A hanging subtree with a caret weighs >= 1 (see `_Walk`), so at a
+        budget of 0 the one choice is a leaf for each kind: it is drawn at
+        once, with no `_hanging` list and no frame per kind."""
         if budget < 0:
             return
-        if not kinds:
-            yield "", 0
+        if budget == 0 or not kinds:
+            yield "L" * len(kinds), 0
             return
         (kind, i), rest = kinds[0], kinds[1:]
         for tree, w in self._hanging(kind, i, budget):
@@ -133,7 +145,7 @@ class _Walk:
         stack = [("", fordham.ROOT, budget)]
         while stack:
             above, kind, budget = stack.pop()
-            kinds = _hanging_kinds(self.p, kind, 0)
+            kinds = self._hanging_kinds(kind, 0)
             charge = self._right_full if kind == fordham.RIGHT else 0
             for head, w0 in self._draw(kinds[:1], budget):
                 for tail, ws in self._draw(kinds[1:], budget - w0):

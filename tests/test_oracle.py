@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -75,6 +76,30 @@ def test_census_prunes_the_fuss_catalan_scan():
     assert census.trees_scanned == 54_321 - 13_620
 
 
+def test_census_builds_the_same_trees_at_large_p():
+    # an all-leaf draw is one step, yet every tree is still built and counted
+    for p, w, built in ((12, 2, 325), (20, 3, 17_110), (45, 2, 4186)):
+        assert enumerate_positive_by_weight(p, w).trees_scanned == built, (p, w)
+
+
+def test_census_computes_each_kind_entry_once(monkeypatch):
+    # a tree over F(70) needs 72 (kind, middle index) entries; the memo of
+    # p keeps them all, across walks too
+    made = Counter()
+    make = fordham._make_child_kinds
+
+    def counted(p, kind, i):
+        made[p, kind, i] += 1
+        return make(p, kind, i)
+
+    monkeypatch.setattr(fordham, "_make_child_kinds", counted)
+    fordham._kind_memo.cache_clear()
+    enumerate_positive_by_weight(70, 2)
+    assert len(made) == 72 and set(made.values()) == {1}
+    enumerate_positive_by_weight(70, 1)
+    assert len(made) == 72 and set(made.values()) == {1}
+
+
 def test_census_candidates_are_all_reduced():
     # the walk ends the spine only at a caret that keeps a hanging caret
     for p, top in ((2, 10), (3, 6)):
@@ -118,7 +143,8 @@ def _unpruned_middle_census(iter_trees, p, i, max_weight):
 
 def test_census_equals_unpruned_scan(iter_trees):
     # each budget up to the top one, as the walk prunes differently at each
-    for p, top in ((2, 7), (3, 5), (4, 4), (5, 4)):
+    # at p = 12 the budget reaches 0 with up to 10 hanging kinds left to draw
+    for p, top in ((2, 7), (3, 5), (4, 4), (5, 4), (12, 2)):
         unpruned = _unpruned_census(iter_trees, p, top)
         middles = [_unpruned_middle_census(iter_trees, p, i, top) for i in range(1, p)]
         for w in range(top + 1):
