@@ -52,6 +52,7 @@ of x_n is R_k with a caret at child r of spine caret k.
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, NamedTuple
@@ -62,6 +63,8 @@ from .words import Letter, _check_p
 # alone grows both trees to more than n characters, so an index of 10**8
 # would need gigabytes before any other letter is read.
 DIAGRAM_SIZE_LIMIT = 10**7
+
+_NOT_TREE_TEXT = re.compile("[^CL]")
 
 
 class PTree(str):
@@ -119,19 +122,20 @@ def _leaf_at(t: str, m: int) -> int:
 
 def parse_tree(p: int, text: str) -> PTree:
     """The p-ary tree whose preorder string is `text`; ValueError if the
-    text is not one."""
+    text is not one.  `_subtree_end` reads any character but "C" as a leaf,
+    which is exact up to the first character that is neither: the first
+    fault is that character, if it comes before the tree's end, else text
+    past the end, or text that ends before it."""
     _check_p(p)
-    need = 1  # subtrees still to read
-    for i, ch in enumerate(text):
-        if not need:
-            raise ValueError(f"trailing characters after tree text {text!r}")
-        if ch == "L":
-            need -= 1
-        elif ch == "C":
-            need += p - 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} at position {i} in tree text")
-    if need:
+    end = _subtree_end(text, 0, p)
+    bad = _NOT_TREE_TEXT.search(text, 0, end)
+    if bad:
+        raise ValueError(
+            f"unexpected character {bad[0]!r} at position {bad.start()} in tree text"
+        )
+    if end < len(text):
+        raise ValueError(f"trailing characters after tree text {text!r}")
+    if end > len(text):
         raise ValueError(f"truncated tree text {text!r}")
     return PTree(text)
 

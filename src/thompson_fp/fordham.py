@@ -29,12 +29,13 @@ middle_empty.  In a reduced positive tree at most one caret is right_empty.
 
 One left-to-right pass over the tree's preorder string, with a stack of
 (child kind table, next child position) per open caret, gives every caret
-its final class: a middle caret turns full when a successor child starts
-with "C", and a right caret, which lies on the rightmost path, is full when
-a middle caret starts after its child 1.  The same pass lists the carets in
-total order: a caret's predecessor children come first among its children,
-so it takes its place when the pass reaches its first successor child, after
-all of its predecessor subtrees and before any of its successor subtrees.
+its final class as it reads: a middle caret turns full when a successor
+child starts with "C", and a right caret, which lies on the rightmost path,
+turns full when a middle caret starts after its child 1 has begun.  The same
+pass lists the carets in total order: a caret's predecessor children come
+first among its children, so it takes its place when the pass reaches its
+first successor child, after all of its predecessor subtrees and before any
+of its successor subtrees.
 `tree_weight` sums `CARET_WEIGHTS` over the pass; `classify` keys the
 classes by preorder position in that order.
 """
@@ -150,12 +151,16 @@ def _pass(
     its place in the total order when the pass reaches its child npred: all
     of its predecessor subtrees have been read by then, and none of its
     successor subtrees.  Every caret has 1 <= npred <= p-1; the frame around
-    the tree has npred = p and so never takes a place."""
+    the tree has npred = p and so never takes a place.
+
+    A right caret lies on the rightmost path, so everything read after its
+    child 1 begins is inside its subtree, after it in the total order: it is
+    `pending` from then until the next middle caret starts, which marks it
+    right_full."""
     classes: list[str] = []
     mids: list[int | None] = []
     order: list[int] = []
-    rights: list[tuple[int, int]] = []  # (right caret, carets before its child 1)
-    last_middle = -1
+    pending: list[int] = []  # right carets past child 0 and no middle caret since
     # Per open caret: [predecessor count, child kinds, caret, its kind, next
     # position]; the tree is the last child of a parent that is no caret.
     last = p - 1
@@ -171,7 +176,7 @@ def _pass(
         if pos == npred:
             order.append(parent)
         if pkind == RIGHT and pos == 1:
-            rights.append((parent, len(classes)))
+            pending.append(parent)
         if ch != "C":
             continue
         if pkind == MIDDLE and pos >= npred:
@@ -180,16 +185,14 @@ def _pass(
         idx = len(classes)
         if ck == MIDDLE:
             classes.append(MIDDLE_EMPTY)
-            last_middle = idx
+            if pending:
+                for r in pending:
+                    classes[r] = RIGHT_FULL
+                pending.clear()
         else:
             classes.append(RIGHT_EMPTY if ck == RIGHT else ck)
         mids.append(ci if ck == MIDDLE else None)
         stack.append([*(memo.get(child) or _child_kinds(p, ck, ci)), idx, ck, 0])
-    # A right caret lies on the rightmost path, so the carets after it in the
-    # total order are those from its child 1 on: it is full if one is middle.
-    for idx, mark in rights:
-        if mark <= last_middle:
-            classes[idx] = RIGHT_FULL
     return classes, mids, order
 
 

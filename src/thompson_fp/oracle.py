@@ -8,11 +8,9 @@ meaningful evidence:
     that builds, as preorder strings, only the p-trees which can weigh <= W
     and whose spine ends at a hanging caret, filtered by reducedness,
     weighed by the Fordham rules and histogrammed by weight -> positive
-    growth counts.  It refuses a weight table in which a left, middle or
-    right_full caret weighs < 1, so a spent budget leaves room for leaves
-    only: the walk then draws all the remaining hanging children as leaves
-    in one step.  enumerate_middle_by_weight histograms the same walk's
-    list of hanging middle subtrees -> the M_i series.
+    growth counts.  Its premises on the weight table are `_Walk`'s.
+    enumerate_middle_by_weight histograms the same walk's list of hanging
+    middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
     generators x_0^±1 .. x_{p-1}^±1, one record per element: its reduced
     diagram mapped to a geodesic word -> word lengths and sphere sizes.
@@ -58,9 +56,10 @@ _PRUNE_CLASSES = (fordham.LEFT, fordham.MIDDLE_EMPTY, fordham.MIDDLE_FULL, fordh
 
 class _Walk:
     """One census call's depth-first walk over the trees that can weigh at
-    most a budget, built as preorder strings.  It memoises the hanging
-    subtrees by (kind, middle index, budget) and counts every tree it builds
-    against TREE_ENUMERATION_LIMIT.  `_hanging` and `_draw` recurse on the
+    most a budget, built as preorder strings.  It reads the kinds of a
+    caret's children from fordham's table, memoises the hanging subtrees by
+    (kind, middle index, budget) and counts every tree it builds against
+    TREE_ENUMERATION_LIMIT.  `_hanging` and `_draw` recurse on the
     budget, which each level lowers by one, and on the p child kinds, never
     on the depth of a tree; the spine is walked with an explicit stack.
 
@@ -78,7 +77,6 @@ class _Walk:
         self.built = 0
         self._right_full = weights[fordham.RIGHT_FULL]
         self._lists: dict[tuple[str, int, int], list[tuple[PTree, int]]] = {}
-        self._kinds: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
 
     def _count(self) -> None:
         self.built += 1
@@ -88,24 +86,16 @@ class _Walk:
                 f"lower max_weight"
             )
 
-    def _hanging_kinds(self, kind: str, i: int) -> tuple[tuple[str, int], ...]:
-        """(kind, middle index) of each child position of a `kind` caret that
-        holds a hanging subtree: every position but a right child's."""
-        found = self._kinds.get((kind, i))
-        if found is None:
-            kinds = fordham._child_kinds(self.p, kind, i)[1]
-            found = self._kinds[kind, i] = tuple(k for k in kinds if k[0] != fordham.RIGHT)
-        return found
-
     def _hanging(self, kind: str, i: int, budget: int) -> list[tuple[PTree, int]]:
         """Every subtree hung as a `kind` (M^i) child that weighs <= budget,
-        with its weight.  Each of its carets weighs >= 1, so the children of
-        its top caret share budget - 1."""
+        with its weight.  Its top caret, left or middle, has no right child,
+        and weighs >= 1 (see `_Walk`), so its children share budget - 1."""
         key = (kind, i, budget)
         found = self._lists.get(key)
         if found is None:
             found = [(LEAF, 0)]
-            for kids, _ in self._draw(self._hanging_kinds(kind, i), budget - 1):
+            kinds = fordham._child_kinds(self.p, kind, i)[1]
+            for kids, _ in self._draw(kinds, budget - 1):
                 self._count()
                 tree = PTree("C" + kids)
                 w = fordham.tree_weight(self.p, tree, kind, i)
@@ -117,9 +107,9 @@ class _Walk:
     def _draw(self, kinds: tuple[tuple[str, int], ...], budget: int) -> Iterator[tuple[str, int]]:
         """Every choice of hanging subtrees of the given kinds whose weights
         sum to <= budget, as their preorder strings joined, with that sum.
-        A hanging subtree with a caret weighs >= 1 (see `_Walk`), so at a
-        budget of 0 the one choice is a leaf for each kind: it is drawn at
-        once, with no `_hanging` list and no frame per kind."""
+        At a budget of 0 the one choice is a leaf for each kind (see
+        `_Walk`): it is drawn at once, with no `_hanging` list and no frame
+        per kind."""
         if budget < 0:
             return
         if budget == 0 or not kinds:
@@ -140,20 +130,22 @@ class _Walk:
         is the deepest, child p-1 is a leaf, and a right caret is right_full
         exactly when its children 1..p-2, all middle subtrees, have hanging
         weight > 0.  Each stack entry is a spine caret still to fill: the
-        preorder string above it, its kind (the root, or a right caret) and
-        the budget left for it and the spine below."""
-        stack = [("", fordham.ROOT, budget)]
+        preorder string above it, the kinds of its hanging children (the
+        root's, or a right caret's: every child but the last, the spine
+        below), the right_full weight it is charged and the budget left for
+        it and the spine below."""
+        p, right_full = self.p, self._right_full
+        right = fordham._child_kinds(p, fordham.RIGHT, 0)[1][:-1]
+        stack = [("", fordham._child_kinds(p, fordham.ROOT, 0)[1][:-1], 0, budget)]
         while stack:
-            above, kind, budget = stack.pop()
-            kinds = self._hanging_kinds(kind, 0)
-            charge = self._right_full if kind == fordham.RIGHT else 0
+            above, kinds, charge, budget = stack.pop()
             for head, w0 in self._draw(kinds[:1], budget):
                 for tail, ws in self._draw(kinds[1:], budget - w0):
                     top = above + "C" + head + tail  # its last child, the spine below, follows
                     w = w0 + ws
                     if w and w + (charge if ws else 0) <= budget:
                         yield PTree(top + "L")
-                    stack.append((top, fordham.RIGHT, budget - w - charge))
+                    stack.append((top, right, right_full, budget - w - charge))
 
 
 class PositiveCensus(NamedTuple):
@@ -171,20 +163,17 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     caret: the root's left subtree, or a middle subtree.  The classes in a
     hanging subtree, and so its weight, depend on the subtree alone; the
     refinement of right carets reads which middle carets follow them but
-    changes no middle caret.  Each caret of a hanging subtree weighs >= 1.
-    In a reduced tree the deepest spine caret keeps a caret among its first
-    p-1 children, all of them hanging subtrees, so every right caret above
-    it has a middle caret after it and is right_full: at most one caret is
+    changes no middle caret.  Each caret of a hanging subtree weighs >= 1,
+    which `_Walk` checks in `fordham.CARET_WEIGHTS` when it starts.  In a
+    reduced tree the deepest spine caret keeps a caret among its first p-1
+    children, all of them hanging subtrees, so every right caret above it
+    has a middle caret after it and is right_full: at most one caret is
     right_empty.  A reduced tree of weight <= W with k right carets thus has
     hanging weights plus (k-1) times the right_full weight at most W.  The
     walk prunes exactly when that sum exceeds W, so it reaches every such
-    tree.  It reads the weights from `fordham.CARET_WEIGHTS` when it starts
-    and raises ValueError unless the left, middle and right_full classes
-    weigh >= 1, since its budget must fall at every caret it adds.  It also
-    ends the spine only at a caret with hanging weight > 0, which skips only
-    non-reduced trees: a tree with a caret is reduced exactly when its
-    deepest spine caret keeps a hanging caret, and each hanging caret
-    weighs >= 1.  A deepest caret that is a right caret is right_full
+    tree.  It also ends the spine only at a caret with hanging weight > 0,
+    which skips only non-reduced trees: a tree with a caret is reduced
+    exactly when its deepest spine caret keeps a hanging caret.  A deepest caret that is a right caret is right_full
     exactly when its children 1..p-2 hold a caret (see `_Walk._candidates`),
     and the walk ends the spine there only if that weight fits too, which
     skips only trees heavier than W.  So every candidate but the leaf is

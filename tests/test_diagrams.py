@@ -43,6 +43,16 @@ def test_parse_tree_rejects_garbage():
         parse_tree(2, "CLLL")
     with pytest.raises(ValueError, match="unexpected character 'X' at position 0 in tree text"):
         parse_tree(2, "X")
+    # the first fault wins: a bad character inside the tree before its end,
+    # text past the end, then text that ends before the tree
+    with pytest.raises(ValueError, match="unexpected character 'X' at position 1 in tree text"):
+        parse_tree(2, "CXLL")
+    with pytest.raises(ValueError, match=re.escape("trailing characters after tree text 'LX'")):
+        parse_tree(2, "LX")
+    with pytest.raises(ValueError, match=re.escape("truncated tree text ''")):
+        parse_tree(2, "")
+    with pytest.raises(ValueError, match="unexpected character 'X' at position 2 in tree text"):
+        parse_tree(2, "CLX")
 
 
 def test_tree_api_children_and_round_trip(iter_trees):

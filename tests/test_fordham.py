@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from thompson_fp import fordham
@@ -16,7 +18,7 @@ from thompson_fp.fordham import (
     positive_length,
     tree_weight,
 )
-from thompson_fp.words import parse_word
+from thompson_fp.words import Letter, parse_word
 
 
 def _length(p, text):
@@ -105,6 +107,27 @@ def test_right_full_vs_empty():
     # in the x_2 tree the first right caret is followed by a middle caret
     t2 = reduce(evaluate(2, parse_word("x2"))).source
     assert RIGHT_FULL in [c.kind for c in classify(2, t2).classes.values()]
+    # p=3: a middle caret at the right caret's child 0, its predecessor, is
+    # before it in the order and leaves it right_empty; one at child 1 fills it
+    ct = classify(3, parse_tree(3, "CLLCCLLLLL"))
+    assert ct.classes[1].kind == RIGHT_EMPTY and ct.total_weight == 1
+    ct = classify(3, parse_tree(3, "CLLCLCLLLL"))
+    assert ct.classes[1].kind == RIGHT_FULL and ct.total_weight == 3
+
+
+def test_pass_keeps_no_record_per_right_caret():
+    # the source of x_100000 at p=2 is a right spine of 100001 carets; the
+    # pass holds one list slot per right caret waiting for a middle caret,
+    # not a (caret, mark) record per right caret
+    source = evaluate(2, [Letter(100000, 1)]).source
+    tracemalloc.start()
+    try:
+        weight = tree_weight(2, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weight == 199999
+    assert peak < 48 * len(source)
 
 
 def test_at_most_one_right_empty_on_reduced_trees():
