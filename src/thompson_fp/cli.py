@@ -243,17 +243,15 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_length(args) -> int:
     w = parse_word(args.word)
-    pair = diagrams.evaluate(args.p, w)
-    n = fordham.positive_length(args.p, pair)
+    source = fordham._positive_source(args.p, diagrams.evaluate(args.p, w))
+    with_classes = args.classes and source != diagrams.LEAF
+    classified = fordham.classify(args.p, source) if with_classes else None
     payload = {
-        "schema": SCHEMA, "command": "length", "p": args.p,
-        "word": format_word(w), "length": n,
+        "schema": SCHEMA, "command": "length", "p": args.p, "word": format_word(w),
+        "length": classified.total_weight if classified else fordham.tree_weight(args.p, source),
     }
     if args.classes:
-        if pair.source == diagrams.LEAF:
-            payload["classes"] = {}
-        else:
-            payload["classes"] = fordham.classify(args.p, pair.source).to_json()
+        payload["classes"] = classified.to_json() if classified else {}
     _emit_json(payload)
     return 0
 

@@ -92,14 +92,12 @@ class ClassifiedTree(NamedTuple):
         return sum(c.weight for c in self.classes.values())
 
     def to_json(self) -> dict:
-        return {
-            str(i): {
-                "class": c.kind,
-                "middle_index": c.middle_index,
-                "weight": c.weight,
-            }
-            for i, c in self.classes.items()
+        """{str(preorder index): record}; carets of one class share one record."""
+        records = {
+            c: {"class": c.kind, "middle_index": c.middle_index, "weight": c.weight}
+            for c in set(self.classes.values())
         }
+        return {str(i): records[c] for i, c in self.classes.items()}
 
 
 _ChildKinds = tuple[int, tuple[tuple[str, int], ...]]
@@ -199,11 +197,13 @@ def _pass(
 def classify(p: int, tree: PTree) -> ClassifiedTree:
     """Classify every caret of a tree read as the source of a positive diagram.
 
-    Carets are numbered by their position in the tree (preorder)."""
+    Carets are numbered by their position in the tree (preorder).  Carets
+    of one class and middle index share one CaretClass."""
     if tree == "L":
         raise ValueError("the empty tree has no carets to classify")
     classes, mids, order = _pass(p, tree, ROOT, 0)
-    return ClassifiedTree(p, tree, {i: CaretClass(classes[i], mids[i]) for i in order})
+    shared = {key: CaretClass(*key) for key in set(zip(classes, mids))}
+    return ClassifiedTree(p, tree, {i: shared[classes[i], mids[i]] for i in order})
 
 
 def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 0) -> int:
@@ -216,11 +216,9 @@ def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 
     return sum(w[cls] for cls in _pass(p, tree, root_kind, middle_index)[0])
 
 
-def positive_length(p: int, pair: TreePair) -> int:
-    """Word length of a positive element, given as a TreePair, from its
-    classified source tree.  Raises NotPositiveError for elements that are
-    not positive.
-    """
+def _positive_source(p: int, pair: TreePair) -> PTree:
+    """The source tree of a positive element's reduced diagram.  Raises
+    NotPositiveError for elements that are not positive."""
     if pair.p != p:
         raise ValueError(f"mismatched p: {pair.p} != {p}")
     pair = reduce(pair)
@@ -228,4 +226,9 @@ def positive_length(p: int, pair: TreePair) -> int:
         raise NotPositiveError(
             "Fordham positive method inapplicable: element is not positive"
         )
-    return tree_weight(p, pair.source)
+    return pair.source
+
+
+def positive_length(p: int, pair: TreePair) -> int:
+    """Word length of a positive element: the weight of `_positive_source`."""
+    return tree_weight(p, _positive_source(p, pair))

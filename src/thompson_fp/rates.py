@@ -11,12 +11,12 @@ equivalently t = 1/z is the unique root in (0, 1/2] of
 Asymptotically xi(p) = (p - 1/2)/ln 2 + 1/2 + o(1).
 
 All arithmetic is exact.  Each rate's equation g(z) = 0 of degree d is written
-once, as its homogeneous integer form G(A, Q) = Q^d g(A/Q).  The five routes
+once, as its homogeneous integer form G(A, Q) = Q^d g(A/Q).  The four routes
 read it through a Moebius map z = (alpha x + beta)/(gamma x + delta) from the
 route's root x to the rate: x, 1/x or y/(y - 1).  The route's form is then
 F(a, q) = G(alpha a + beta q, gamma a + delta q), which is q^d f(a/q) for the
 polynomial f(x) = (gamma x + delta)^d g(z), so F(a, q) has the sign of f(a/q).
-One routine, `_enclose`, serves all five routes.  It bisects on integers
+One routine, `_enclose`, serves all four routes.  It bisects on integers
 a < b over one shared q > 0, so there is no rounding and no gcd.  It stops
 once the rate's width over the bracket [a/q, b/q],
 |alpha delta - beta gamma| q (b - a) / ((gamma a + delta q)(gamma b + delta q)),
@@ -187,7 +187,9 @@ def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
 
 
 def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
-    """Independent route: bisect (y^2-1)^(p-1)(y^2+y-1) - y^(2p) on [p, p+1/2]."""
+    """Bisect (y^2-1)^(p-1)(y^2+y-1) - y^(2p) on [p, p+1/2].  It reads zeta's
+    form through the identity map, so it checks `_bisect`, `_image` and the
+    map, not the polynomial.  It stays because the acceptance tests read it."""
     f = _zeta_eq(p, _X, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)")
     return _enclose(f, Fraction(p), Fraction(2 * p + 1, 2), tol)
 
@@ -200,16 +202,13 @@ def xi(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     return _enclose(f, Fraction(0), Fraction(1, 2), tol)
 
 
-def xi_via_direct(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
-    """Independent route: bisect (2z-1)(z-1)^(p-1) - z^p on [1, 2p]."""
-    f = _xi_eq(p, _X, "(2z-1)(z-1)^(p-1)=z^p")
-    return _enclose(f, Fraction(1), Fraction(2 * p), tol)
-
-
 def xi_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
-    """Independent route: bisect y^p - y - 1 on [1, 2]; rate = y/(y - 1).
+    """Bisect y^p - y - 1 on [1, 2]; rate = y/(y - 1).
     Through y/(y - 1), xi's form is -(y^p - y - 1), which has the same roots.
-    h(1) = -1 < 0 and h(2) = 2^p - 3 > 0 bracket the root for every p >= 2."""
+    h(1) = -1 < 0 and h(2) = 2^p - 3 > 0 bracket the root for every p >= 2.
+    It reads xi's form through another map, so it checks `_bisect`, `_image`
+    and the map, not the polynomial.  It stays because perfbench/checks.py
+    reads it."""
     f = _xi_eq(p, _Y_OVER_Y_MINUS_1, "y^p=y+1, rate=y/(y-1)")
     return _enclose(f, Fraction(1), Fraction(2), tol)
 

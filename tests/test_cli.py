@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thompson_fp import normal_forms
+from thompson_fp import fordham, normal_forms
 from thompson_fp.cli import build_parser, run
 
 
@@ -163,6 +163,22 @@ def test_length_with_classes(capsys):
     assert payload["length"] == 3
     weights = [entry["weight"] for entry in payload["classes"].values()]
     assert sum(weights) == 3
+
+
+def test_length_runs_the_fordham_pass_once(capsys, monkeypatch):
+    calls = []
+    inner = fordham._pass
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(fordham, "_pass", counting)
+    for flags in (["--classes"], []):
+        calls.clear()
+        assert run(["length", "--p", "3", *flags, "x0 x2 x5"]) == 0
+        assert len(calls) == 1, flags
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -6,6 +8,7 @@ from thompson_fp import fordham
 from thompson_fp.diagrams import LEAF, evaluate, num_carets, parse_tree, reduce
 from thompson_fp.fordham import (
     CARET_WEIGHTS,
+    CaretClass,
     LEFT,
     MIDDLE_EMPTY,
     MIDDLE_FULL,
@@ -130,6 +133,20 @@ def test_pass_keeps_no_record_per_right_caret():
     assert peak < 48 * len(source)
 
 
+def test_classification_keeps_no_record_per_caret():
+    # the source of x_100000 at p=2 has 100002 carets of four classes; its
+    # carets share one CaretClass and one JSON record per class
+    source = evaluate(2, [Letter(100000, 1)]).source
+    tracemalloc.start()
+    try:
+        payload = classify(2, source).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(payload) == 100002
+    assert peak < 140 * len(source)
+
+
 def test_at_most_one_right_empty_on_reduced_trees():
     for word in ("x0 x1 x2", "x0 x0 x1", "x1 x3 x5", "x2 x2"):
         t = reduce(evaluate(2, parse_word(word))).source
@@ -139,8 +156,6 @@ def test_at_most_one_right_empty_on_reduced_trees():
 
 
 def test_tree_weight_matches_classify(iter_trees):
-    import itertools
-
     for p in (2, 3):
         for c in range(1, 5):
             for t in itertools.islice(iter_trees(p, c), 200):
@@ -152,6 +167,25 @@ def test_classified_tree_to_json():
     payload = classify(2, t).to_json()
     assert all(set(v) == {"class", "middle_index", "weight"} for v in payload.values())
     assert sum(v["weight"] for v in payload.values()) == 3
+
+
+def test_to_json_shares_records_per_class_and_middle_index(iter_trees):
+    # this p=3 tree has a middle_empty caret of index 1 and one of index 2,
+    # which records shared per class alone would print alike
+    both = "CLCLLLCCLLLLL"
+    middles = {c for c in classify(3, both).classes.values() if c.kind == MIDDLE_EMPTY}
+    assert middles == {CaretClass(MIDDLE_EMPTY, 1), CaretClass(MIDDLE_EMPTY, 2)}
+    for p in (2, 3, 4):
+        trees = [both] if p == 3 else []
+        for c in range(1, 5):
+            trees += itertools.islice(iter_trees(p, c), 200)
+        for t in trees:
+            ct = classify(p, t)
+            per_caret = {
+                str(i): {"class": c.kind, "middle_index": c.middle_index, "weight": c.weight}
+                for i, c in ct.classes.items()
+            }
+            assert json.dumps(ct.to_json()) == json.dumps(per_caret), (p, t)
 
 
 def test_weight_table_is_read_live():

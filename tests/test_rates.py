@@ -17,7 +17,6 @@ from thompson_fp.rates import (
     rate_report,
     xi,
     xi_asymptotic,
-    xi_via_direct,
     xi_via_y,
     zeta,
     zeta_via_y,
@@ -86,10 +85,14 @@ def test_xi2_is_golden_ratio_squared():
 
 
 def test_xi_three_forms_agree():
+    # xi and xi_via_y agree, and xi's enclosure brackets a root of the
+    # direct form (2z-1)(z-1)^(p-1) - z^p, evaluated in Fractions
     for p in (2, 3, 5, 9):
         tol = F(1, 10**8)
-        mids = [f(p, tol).midpoint for f in (xi, xi_via_direct, xi_via_y)]
-        assert max(mids) - min(mids) <= 2 * tol, p
+        r = xi(p, tol)
+        assert abs(r.midpoint - xi_via_y(p, tol).midpoint) <= 2 * tol, p
+        g = lambda z: (2 * z - 1) * (z - 1) ** (p - 1) - z**p
+        assert g(r.low) * g(r.high) < 0, p
 
 
 def test_rate_result_fields():
@@ -107,7 +110,6 @@ def test_rate_result_fields():
         (zeta, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x"),
         (zeta_via_y, "(y^2-1)^(p-1)*(y^2+y-1)=y^(2p)"),
         (xi, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t"),
-        (xi_via_direct, "(2z-1)(z-1)^(p-1)=z^p"),
         (xi_via_y, "y^p=y+1, rate=y/(y-1)"),
     ],
 )
@@ -313,12 +315,6 @@ def _oracle_xi(p, tol):
     return 1 / hi, 1 / lo
 
 
-def _oracle_xi_via_direct(p, tol):
-    g = lambda z: (2 * z - 1) * (z - 1) ** (p - 1) - z**p
-    lo, hi = _fraction_bisect(g, F(1), F(2 * p), lambda a, b: b - a <= tol)
-    return lo, hi
-
-
 def _oracle_xi_via_y(p, tol):
     h = lambda y: y**p - y - 1
     lo, hi = _fraction_bisect(
@@ -333,7 +329,6 @@ def _oracle_xi_via_y(p, tol):
         (zeta, _oracle_zeta),
         (zeta_via_y, _oracle_zeta_via_y),
         (xi, _oracle_xi),
-        (xi_via_direct, _oracle_xi_via_direct),
         (xi_via_y, _oracle_xi_via_y),
     ],
 )
