@@ -24,17 +24,21 @@ The generating function of path counts is
 
     Phi_p(t) = (1+t)/(1-t) * (1 - t(1-t)^(p-1)) / ((1-t)^p + (1-t)^(p-1) - 1).
 
-All automaton counts come from a single walk that steps the per-state count
-vector one letter at a time.  language_counts sums each vector, so a whole
-list of counts costs one walk; count_paths sums only the n-th, keeping one
-vector at a time.  phi_series and count_language_bruteforce stay
-independent of the walk, as checks on it.
+All automaton counts come from a single walk that steps the 2p+1 state
+counts one letter at a time, straight from the table above: the new q_j is
+2(q + q_0) + sum_{i>=j} q_i + 2 sum_{i<j} q_i + sum_{i<=j} q_{i,0}, one
+running sum over j; q_{i,0} takes q_i; q_0 and qbar take one sum each.  No
+matrix is built, so a letter costs O(p).  language_counts sums each step's
+counts, so a whole list of counts costs one walk; count_paths sums only the
+n-th, keeping one set of counts at a time.  phi_series and
+count_language_bruteforce stay independent of the walk, as checks on it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+import operator
+from typing import Iterator
 
 from .series import PowerSeries, expand_rational
 from .words import Letter, _check_p
@@ -47,79 +51,36 @@ class BruteForceGuardError(RuntimeError):
     pass
 
 
-class CountingAutomaton(NamedTuple):
-    p: int
-    states: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]  # matrix[i][j]: letters from i to j
+def _walk(p: int) -> Iterator[int]:
+    """The one walk: the number of paths from q of length 0, 1, 2, ...
 
-
-def build_automaton(p: int) -> CountingAutomaton:
-    _check_p(p)
-    states = (
-        ["q", "q0"]
-        + [f"q{i}" for i in range(1, p)]
-        + [f"q{i},0" for i in range(1, p)]
-        + ["qbar"]
-    )
-    index = {s: k for k, s in enumerate(states)}
-    n = len(states)
-    mat = [[0] * n for _ in range(n)]
-
-    mat[index["q"]][index["q0"]] = 2
-    for i in range(1, p):
-        mat[index["q"]][index[f"q{i}"]] = 2
-
-    mat[index["q0"]][index["q0"]] = 1
-    for i in range(1, p):
-        mat[index["q0"]][index[f"q{i}"]] = 2
-
-    for i in range(1, p):
-        row = index[f"q{i}"]
-        mat[row][index["q0"]] = 1
-        mat[row][index[f"q{i},0"]] = 1
-        for j in range(1, i + 1):
-            mat[row][index[f"q{j}"]] = 1
-        for j in range(i + 1, p):
-            mat[row][index[f"q{j}"]] = 2
-
-    for i in range(1, p):
-        row = index[f"q{i},0"]
-        mat[row][index["qbar"]] = 1
-        for j in range(i, p):
-            mat[row][index[f"q{j}"]] = 1
-
-    mat[index["qbar"]][index["qbar"]] = 1
-
-    return CountingAutomaton(p, tuple(states), tuple(tuple(r) for r in mat))
-
-
-def _walk(aut: CountingAutomaton) -> Iterator[list[int]]:
-    """The one walk: path counts per state after 0, 1, 2, ... letters,
-    starting from the start state q, index 0."""
-    v = [1] + [0] * (len(aut.states) - 1)
+    q, q0 and qbar are counts; qi[i-1] and qi0[i-1] are those of q_i and
+    q_{i,0}, 1 <= i <= p-1."""
+    q, q0, qi, qi0, qbar = 1, 0, [0] * (p - 1), [0] * (p - 1), 0
     while True:
-        yield v
-        nxt = [0] * len(aut.states)
-        for i, vi in enumerate(v):
-            if vi:
-                for j, c in enumerate(aut.matrix[i]):
-                    if c:
-                        nxt[j] += vi * c
-        v = nxt
+        s, s0 = sum(qi), sum(qi0)
+        yield q + q0 + s + s0 + qbar
+        # q_j gains 2(q + q0) + s, plus q_i for each i < j (2 letters, not 1)
+        # and q_{i,0} for each i <= j
+        below = itertools.accumulate(qi, initial=2 * (q + q0) + s)
+        qj = list(map(operator.add, below, itertools.accumulate(qi0)))
+        q, q0, qi, qi0, qbar = 0, 2 * q + q0 + s, qj, qi, qbar + s0
 
 
 def language_counts(p: int, order: int) -> list[int]:
     """|L_p ∩ Σ^n| for every n < order, from a single walk."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return [sum(v) for v in itertools.islice(_walk(build_automaton(p)), order)]
+    _check_p(p)
+    return list(itertools.islice(_walk(p), order))
 
 
 def count_paths(p: int, n: int) -> int:
     """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    return sum(next(itertools.islice(_walk(build_automaton(p)), n, None)))
+    _check_p(p)
+    return next(itertools.islice(_walk(p), n, None))
 
 
 def phi_series(p: int, order: int) -> PowerSeries:

@@ -236,8 +236,10 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
     distinct elements, and one of length n lies in B(n), so the number of
     words of L_p of length <= radius bounds |B(radius)| from below; if that
     passes BALL_SIZE_LIMIT, EnumerationGuardError is raised before any
-    product.  Otherwise the element past the limit raises it, so the work is
-    bounded by the limit's worth of elements and their products."""
+    product.  That pre-check takes at most BALL_SIZE_LIMIT.bit_length() + 1
+    lengths of the automaton walk, each O(p), so it costs O(p).
+    Otherwise the element past the limit raises it, so the work is bounded
+    by the limit's worth of elements and their products."""
     _check_p(p)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")

@@ -5,30 +5,14 @@ import pytest
 from thompson_fp.automaton import (
     BRUTE_FORCE_WORD_LIMIT,
     BruteForceGuardError,
-    build_automaton,
     count_language_bruteforce,
     count_paths,
     language_counts,
     phi_series,
 )
+from thompson_fp import oracle
 from thompson_fp.normal_forms import is_in_Lp
 from thompson_fp.series import series_to_ints
-
-
-def test_state_count():
-    for p in (2, 3, 5):
-        a = build_automaton(p)
-        assert len(a.states) == 2 * p + 1
-        assert a.states[0] == "q"
-        assert a.states[-1] == "qbar"
-
-
-def test_matrix_rows_match_states():
-    a = build_automaton(3)
-    assert len(a.matrix) == len(a.states)
-    assert all(len(row) == len(a.states) for row in a.matrix)
-    # multiplicities are small nonnegative integers
-    assert all(0 <= m <= 2 * 3 for row in a.matrix for m in row)
 
 
 def test_p2_path_counts():
@@ -75,18 +59,41 @@ def test_brute_force_guard_trips():
     assert 4 ** 11 <= BRUTE_FORCE_WORD_LIMIT < 4 ** 13
 
 
-def test_language_counts_and_entry_into_q_i0():
-    # one walk gives every count, as count_paths and the closed form do;
-    # and q{i},0 is entered only from q{i}, by one letter
+def test_language_counts_agree_with_count_paths_and_phi():
+    # one walk gives every count, as count_paths and the closed form do
     for p in (2, 3):
         counts = language_counts(p, 12)
         assert counts == [count_paths(p, n) for n in range(12)]
         assert counts == series_to_ints(phi_series(p, 12))
-        a = build_automaton(p)
-        for i in range(1, p):
-            column = [row[a.states.index(f"q{i},0")] for row in a.matrix]
-            assert column == [int(s == f"q{i}") for s in a.states]
     assert language_counts(2, 0) == []
+
+
+def test_walk_costs_o_p_per_letter():
+    # the walk keeps 2p+1 counts, not a (2p+1)^2 matrix (2.66 MB at p = 200)
+    tracemalloc.start()
+    try:
+        language_counts(200, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256_000
+    # 4p^2 two-letter words, less the 2p pairs x_i^e x_i^-e and the
+    # (p-1)(p-2) pairs x_a^e x_b with 0 < b < a
+    for p in (*range(2, 51), 20000):
+        assert language_counts(p, 3) == [1, 2 * p, 3 * p * p + p - 2], p
+    # so the ball's language pre-check refuses a large p at once
+    with pytest.raises(oracle.EnumerationGuardError):
+        oracle.bfs_group_ball(5000, 4)
+
+
+def test_p_is_checked_before_the_walk():
+    # order 0 walks no letter, yet p is still checked; the order or length
+    # check comes first
+    for f in (language_counts, count_paths):
+        with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
+            f(1, 0)
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            f(1, -1)
 
 
 def test_count_paths_keeps_one_vector():
