@@ -11,22 +11,32 @@ A word is irreducible iff every adjacent pair (x_a^e, x_b^f) satisfies one of
 a < b;  a == b and e == f;  0 < a - b < p and f == -1.
 
 to_infinite_nf always rewrites the leftmost reducible pair, in insertion
-form.  It keeps the irreducible prefix as two int lists, indices and signs,
-and takes the rest of the word one letter b at a time.  No pair inside the
-prefix is reducible, so the leftmost reducible pair always ends in b, and b
-moves left, one rewrite per letter, past the run of letters it pushes past:
-index > b's for a positive b, index >= b's + p for a negative b.  Each of
-them is shifted by p - 1, up for a positive b and down for a negative one.
-The rules read only index differences and signs, so the shifted run stays
-irreducible inside, and it starts above b.  Where the run ends, b is
-inserted, or it cancels with the letter there, x_b^-e.  A cancel sets off
-nothing further: that letter's left neighbour has index at most b + p - 1
-(b positive) or b (b negative), below the shifted run's first letter, which
-is at least b + p or b + 1.  A rewrite costs one int comparison in the scan
-and one slot of a slice assignment, so the whole costs O(len + steps), where
-steps, the number of rewrites, is at most step_budget(len) since each pair
-of letters swaps at most once.  The budget is charged per run, and Letters
-are built once, at the end.
+form.  It keeps the irreducible prefix and takes the rest of the word one
+letter b at a time.  No pair inside the prefix is reducible, so the leftmost
+reducible pair always ends in b, and b moves left, one rewrite per letter,
+past the run of letters it pushes past: index > b's for a positive b, index
+>= b's + p for a negative b.  Each of them is shifted by p - 1, up for a
+positive b and down for a negative one.  The rules read only index
+differences and signs, so the shifted run stays irreducible inside, and it
+starts above b.  Where the run ends, b is inserted, or it cancels with the
+letter there, x_b^-e.  A cancel sets off nothing further: that letter's left
+neighbour has index at most b + p - 1 (b positive) or b (b negative), below
+the shifted run's first letter, which is at least b + p or b + 1.
+
+The run is always a suffix of the prefix, the letters after the last one of
+index <= b (b positive) or <= b + p - 1 (b negative).  So the prefix is held
+in blocks of at most 2 max(8, isqrt(len)) letters, as int lists of indices
+and signs; a block past that splits in half.  Every block but the first
+keeps a lazy shift, added to its stored indices, and its least true index.
+b crosses whole blocks by their minima, shifting each with one add, and
+scans letter by letter only the block where its run ends, where it is
+inserted or cancels.  A block splits only after max(8, isqrt(len)) or more
+insertions into it, and one that cancels empty is dropped, so there are
+O(sqrt(len)) blocks of O(sqrt(len)) letters, and a word costs
+O(len sqrt(len)) whatever its number of rewrites.  A trace adds O(steps),
+where steps, the number of rewrites, is at most
+step_budget(len) since each pair of letters swaps at most once.  The budget
+is charged per run, and Letters are built once, at the end.
 
 Finite-alphabet normal form.  The bar map rewrites x_j^e (j >= 1, writing
 j = r + d(p-1) with 1 <= r <= p-1) as x_0^-d x_r^e x_0^d and then cancels
@@ -53,6 +63,7 @@ k = 0 or k < 0 and the left power is 0.
 from __future__ import annotations
 
 import random
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .words import Letter, Word, _check_p
@@ -136,36 +147,71 @@ def to_infinite_nf(
     _check_p(p)
     w = tuple(word)
     budget = step_budget(len(w))
-    idx: list[int] = []  # the irreducible prefix, as indices and signs
-    sgn: list[int] = []
+    cap = 2 * isqrt(len(w)) if len(w) > 64 else 16  # 2 max(8, isqrt(len(w)))
+    # The irreducible prefix, as blocks [indices, signs, shift, least index]
+    # of at most cap letters: a letter's true index is its stored one plus
+    # its block's shift.  Block 0 is always scanned letter by letter, so its
+    # shift stays 0 and its minimum is never read.
+    blocks = [[[], [], 0, 0]]
+    last = 0  # len(blocks) - 1
     for b, e in w:
-        m = j = len(idx)
         if e > 0:
-            while j and idx[j - 1] > b:
-                j -= 1
-            shift, rule = p - 1, PUSH_POS
+            top, shift, rule = b, p - 1, PUSH_POS
         else:
-            top = b + p
-            while j and idx[j - 1] >= top:
-                j -= 1
-            shift, rule = 1 - p, PUSH_NEG
-        cancels = j > 0 and idx[j - 1] == b and sgn[j - 1] == -e
-        steps = m - j + cancels
+            top, shift, rule = b + p - 1, 1 - p, PUSH_NEG
+        # b crosses the letters of true index > top at the prefix's end:
+        # whole blocks by their minima, then a suffix of block k.
+        k = last
+        blk = blocks[k]
+        run = 0
+        while k and blk[3] > top:
+            blk[2] += shift
+            blk[3] += shift
+            run += len(blk[0])
+            k -= 1
+            blk = blocks[k]
+        idx, sgn, s, low = blk
+        n = j = len(idx)
+        top -= s
+        while j and idx[j - 1] > top:
+            j -= 1
+        cancels = j > 0 and idx[j - 1] == b - s and sgn[j - 1] == -e
+        run += n - j
+        steps = run + cancels
         if steps > budget:
             raise RuntimeError("rewriting exceeded its step budget; system is broken")
         budget -= steps
-        if j < m:
-            idx[j:m] = [i + shift for i in idx[j:m]]
         if trace is not None:
             _check_trace_room(trace, steps)
-            trace.extend({"rule": rule, "position": k} for k in range(m - 1, j - 1, -1))
+            m = sum(len(block[0]) for block in blocks)
+            trace += [{"rule": rule, "position": i} for i in range(m - 1, m - run - 1, -1)]
             if cancels:
-                trace.append({"rule": CANCEL, "position": j - 1})
+                trace.append({"rule": CANCEL, "position": m - run - 1})
+        if j < n:
+            idx[j:] = [i + shift for i in idx[j:]]
         if cancels:
             del idx[j - 1], sgn[j - 1]
-        else:
-            idx.insert(j, b)
-            sgn.insert(j, e)
+            if k and idx:
+                blk[3] = min(idx) + s
+            elif k:  # drop it: no run may stop in an empty block
+                del blocks[k]
+                last -= 1
+            continue
+        idx.insert(j, b - s)
+        sgn.insert(j, e)
+        if b < low:  # the letters b shifted stay above b, and were above low
+            blk[3] = b
+        if n >= cap:  # split block k in half
+            h = n // 2
+            blocks.insert(k + 1, [idx[h:], sgn[h:], s, min(idx[h:]) + s])
+            last += 1
+            del idx[h:], sgn[h:]
+            blk[3] = min(idx) + s
+    idx, sgn, _, _ = blocks[0]
+    if last:
+        for more, signs, s, _ in blocks[1:]:
+            idx += [i + s for i in more]
+            sgn += signs
     return tuple(map(Letter, idx, sgn))
 
 

@@ -10,6 +10,7 @@ from thompson_fp.normal_forms import (
     PUSH_NEG,
     PUSH_POS,
     NotInLanguageError,
+    _apply,
     _rule_at,
     bar,
     finite_nf,
@@ -215,6 +216,41 @@ def test_trace_is_the_leftmost_strategy():
         assert (to_infinite_nf(p, w, trace), trace) == _leftmost_reference(p, w), (p, w)
         long_runs_then_cancel += _cancels_after_runs(trace, 3)
     assert long_runs_then_cancel > 20
+
+
+def test_long_words_reach_their_irreducible_form():
+    # irreducible forms are unique, so an irreducible word of the same
+    # element is the answer, whatever the route; the prefix of a word this
+    # long is held in many blocks, split again and again
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        for positive in (True, False):
+            n = rng.randint(2000, 2200) if positive else rng.randint(2400, 3000)
+            w = tuple(
+                Letter(rng.randint(0, 3 * p), 1 if positive or rng.random() < 0.5 else -1)
+                for _ in range(n)
+            )
+            nf = to_infinite_nf(p, w)
+            assert is_infinite_nf(p, nf)
+            assert evaluate(p, w) == evaluate(p, nf), (p, positive)
+
+
+def test_long_trace_replays_to_the_result():
+    # positions are counted from the block sizes; replaying the trace checks
+    # them on a word whose prefix outgrows many blocks and cancels often
+    rng = random.Random(53)
+    p = 3
+    w = tuple(
+        Letter(rng.randint(0, 3 * p), 1 if rng.random() < 0.6 else -1) for _ in range(1200)
+    )
+    trace = []
+    nf = to_infinite_nf(p, w, trace)
+    assert len(nf) > 500 and sum(t["rule"] == CANCEL for t in trace) > 100
+    replay = list(w)
+    for entry in trace:
+        assert _rule_at(p, replay, entry["position"]) == entry["rule"], entry
+        _apply(replay, entry["position"], entry["rule"], p)
+    assert tuple(replay) == nf
 
 
 def _bar_reference(p, word):
