@@ -13,11 +13,15 @@ Subcommands:
     eval      --p P WORD
     verify    --p P [--profile small|full]
 
-Output is a single JSON object (top-level key "schema": "1") on stdout, or
-CSV for the table-shaped commands with --format csv.  Exact rationals print
-as "num/den" strings unless --float is given.  Exit codes: 0 success (for
-verify: all checks passed), 1 domain errors or failed verification, 2 usage
-errors.  One parser is built per process and shared by every `run` call.
+Each handler returns its result as data: a payload dict, and for the
+table-shaped commands its CSV rows as well.  `run` then builds the whole text
+in one place and prints it in one call, so a command that fails writes
+nothing to stdout.  The text is a single JSON object (top-level key "schema":
+"1"), or CSV for the table-shaped commands with --format csv.  Exact
+rationals print as ints or "num/den" strings unless --float is given, and
+integers of any size print in full.  Exit codes: 0 success (for verify: all
+checks passed), 1 domain errors or failed verification, 2 usage errors.  One
+parser is built per process and shared by every `run` call.
 """
 
 from __future__ import annotations
@@ -56,14 +60,6 @@ def _tolerance(text: str) -> Fraction:
     if v <= 0:
         raise argparse.ArgumentTypeError("tolerance must be positive")
     return v
-
-
-def _rational(v: Fraction, as_float: bool):
-    if as_float:
-        return float(v)
-    if v.denominator == 1:
-        return v.numerator
-    return f"{v.numerator}/{v.denominator}"
 
 
 @functools.cache
@@ -146,23 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _emit(args, payload: dict, rows: list[dict]) -> None:
-    """The payload as JSON, or with --format csv the rows as a table whose
-    header is the first row's keys."""
-    if args.format == "csv":
-        cols = list(rows[0])
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(str(row[c]) for c in cols))
-    else:
-        _emit_json(payload)
-
-
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> tuple[dict, list[dict]]:
     if args.what == "positive":
         key = "coefficients"
         if args.method == "series":
@@ -179,52 +159,39 @@ def _cmd_growth(args) -> int:
             # longest first, so the enumeration guard refuses before any work
             brute = automaton_mod.count_language_bruteforce
             counts = [brute(args.p, n) for n in reversed(range(args.n))][::-1]
-    _emit(args, {
-        "schema": SCHEMA, "command": f"growth {args.what}", "p": args.p,
+    payload = {
+        "command": f"growth {args.what}", "p": args.p,
         "n": args.n, "method": args.method, key: counts,
-    }, [{"n": n, "count": c} for n, c in enumerate(counts)])
-    return 0
-
-
-def _rate_payload(result: rates.RateResult, as_float: bool) -> dict:
-    return {
-        "p": result.p,
-        "equation": result.equation,
-        "value_low": _rational(result.low, as_float),
-        "value_high": _rational(result.high, as_float),
-        "midpoint": _rational(result.midpoint, as_float),
     }
+    return payload, [{"n": n, "count": c} for n, c in enumerate(counts)]
 
 
-def _cmd_rate(args) -> int:
-    if args.what == "positive":
-        body = _rate_payload(rates.zeta(args.p, args.tol), args.as_float)
-        _emit_json({"schema": SCHEMA, "command": "rate positive", **body})
-        return 0
-    if args.what == "lower-bound":
-        body = _rate_payload(rates.xi(args.p, args.tol), args.as_float)
-        _emit_json({"schema": SCHEMA, "command": "rate lower-bound", **body})
-        return 0
-    rows = rates.rate_report(args.pmax, args.tol)
+def _cmd_rate(args) -> dict | tuple[dict, list[dict]]:
+    num = float if args.as_float else Fraction
+    if args.what != "report":
+        r = (rates.zeta if args.what == "positive" else rates.xi)(args.p, args.tol)
+        return {
+            "command": f"rate {args.what}", "p": r.p, "equation": r.equation,
+            "value_low": num(r.low), "value_high": num(r.high), "midpoint": num(r.midpoint),
+        }
     table = [
         {
             "p": r.p,
-            "zeta_low": _rational(r.zeta.low, args.as_float),
-            "zeta_high": _rational(r.zeta.high, args.as_float),
-            "xi_low": _rational(r.xi.low, args.as_float),
-            "xi_high": _rational(r.xi.high, args.as_float),
-            "lambda": _rational(r.lambda_excess, args.as_float),
-            "xi_over_2p_minus_1": _rational(r.xi_over_2p_minus_1, args.as_float),
-            "asymptotic_gap": _rational(r.asymptotic_gap, args.as_float),
+            "zeta_low": num(r.zeta.low),
+            "zeta_high": num(r.zeta.high),
+            "xi_low": num(r.xi.low),
+            "xi_high": num(r.xi.high),
+            "lambda": num(r.lambda_excess),
+            "xi_over_2p_minus_1": num(r.xi_over_2p_minus_1),
+            "asymptotic_gap": num(r.asymptotic_gap),
             "bounds_ok": r.bounds_ok,
         }
-        for r in rows
+        for r in rates.rate_report(args.pmax, args.tol)
     ]
-    _emit(args, {"schema": SCHEMA, "command": "rate report", "rows": table}, table)
-    return 0
+    return {"command": "rate report", "rows": table}, table
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> dict:
     w = parse_word(args.word)
     trace: list | None = [] if args.trace else None
     if args.form == "inf":
@@ -232,57 +199,79 @@ def _cmd_normalize(args) -> int:
     else:
         result = normal_forms.finite_nf(args.p, w, trace)
     payload = {
-        "schema": SCHEMA, "command": "normalize", "p": args.p,
+        "command": "normalize", "p": args.p,
         "word": format_word(w), "form": args.form, "result": format_word(result),
     }
     if trace is not None:
         payload["trace"] = trace
-    _emit_json(payload)
-    return 0
+    return payload
 
 
-def _cmd_length(args) -> int:
+def _cmd_length(args) -> dict:
     w = parse_word(args.word)
     source = fordham._positive_source(args.p, diagrams.evaluate(args.p, w))
     with_classes = args.classes and source != diagrams.LEAF
     classified = fordham.classify(args.p, source) if with_classes else None
     payload = {
-        "schema": SCHEMA, "command": "length", "p": args.p, "word": format_word(w),
+        "command": "length", "p": args.p, "word": format_word(w),
         "length": classified.total_weight if classified else fordham.tree_weight(args.p, source),
     }
     if args.classes:
         payload["classes"] = classified.to_json() if classified else {}
-    _emit_json(payload)
-    return 0
+    return payload
 
 
-def _cmd_equal(args) -> int:
+def _cmd_equal(args) -> dict:
     w1, w2 = parse_word(args.word1), parse_word(args.word2)
     # Reduced diagrams are unique, so equal elements have equal strings.
     same = diagrams.evaluate(args.p, w1) == diagrams.evaluate(args.p, w2)
-    _emit_json({
-        "schema": SCHEMA, "command": "equal", "p": args.p,
+    return {
+        "command": "equal", "p": args.p,
         "word1": format_word(w1), "word2": format_word(w2), "equal": same,
-    })
-    return 0
+    }
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     w = parse_word(args.word)
     pair = diagrams.evaluate(args.p, w)
-    _emit_json({
-        "schema": SCHEMA, "command": "eval", "p": args.p,
+    return {
+        "command": "eval", "p": args.p,
         "word": format_word(w), "pair": str(pair),
         "carets": diagrams.num_carets(pair.source),
         "positive": diagrams.is_right_spine(args.p, pair.target),
-    })
-    return 0
+    }
 
 
-def _cmd_verify(args) -> int:
-    report = oracle.verify_suite(args.p, args.profile)
-    _emit_json({"schema": SCHEMA, "command": "verify", **report.to_json()})
-    return 0 if report.ok else 1
+def _cmd_verify(args) -> dict:
+    return {"command": "verify", **oracle.verify_suite(args.p, args.profile).to_json()}
+
+
+def _json_rational(v: Fraction):
+    if not isinstance(v, Fraction):
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
+    return v.numerator if v.denominator == 1 else str(v)
+
+
+def _render(payload: dict, rows: list[dict] | None) -> str:
+    """The whole text of one result: the rows as a CSV table whose header is
+    the first row's keys, or else the payload as one JSON object with
+    "schema" first and each Fraction as an int or a "num/den" string.
+
+    Integers of any size print in full: the interpreter's limit on int-to-str
+    digits is lifted for this step alone and restored after it, so arguments
+    and words are still parsed under it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if rows is not None:
+            cols = list(rows[0])
+            lines = [",".join(str(row[c]) for c in cols) for row in rows]
+            return "\n".join([",".join(cols), *lines])
+        return json.dumps({"schema": SCHEMA, **payload}, default=_json_rational)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 _HANDLERS = {
@@ -302,10 +291,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command](args)
+        payload, rows = out if isinstance(out, tuple) else (out, None)
+        text = _render(payload, rows if getattr(args, "format", "json") == "csv" else None)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(text)
+    return 0 if payload.get("ok", True) else 1
 
 
 def main() -> None:

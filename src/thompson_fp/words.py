@@ -4,6 +4,9 @@ Grammar for the text form (whitespace separated):
 
     WORD   := "1" | TOKEN (WS+ TOKEN)*
     TOKEN  := "x" DIGITS ("^-1")?
+    DIGITS := [0-9]+
+
+DIGITS are ASCII only: a token spelt with other Unicode digits is malformed.
 
 "1" denotes the empty word and is only valid on its own.
 """
@@ -29,7 +32,7 @@ class Letter(NamedTuple):
 # A word is a plain tuple of letters; the empty tuple is the empty word.
 Word = tuple[Letter, ...]
 
-_TOKEN_RE = re.compile(r"x(\d+)(\^-1)?\Z")
+_TOKEN_RE = re.compile(r"x([0-9]+)(\^-1)?\Z")
 
 
 # The one validation of p, kept here because every other module imports words.

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from thompson_fp import fordham, normal_forms
+from fractions import Fraction
+
+from thompson_fp import automaton, fordham, normal_forms
 from thompson_fp.cli import build_parser, run
 
 
@@ -241,6 +244,100 @@ def test_verify_small(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+def test_failed_verification_prints_its_report_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("thompson_fp.oracle._CHECKS", (("relations", lambda run: (False, "forced")),))
+    code, payload = _run_json(capsys, ["verify", "--p", "2"])
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["checks"] == [{"check_name": "relations", "status": "fail", "details": "forced"}]
+
+
+# sha256 of the stdout of one command per command and format, so that a
+# change to how results are rendered cannot move a byte
+OUTPUT_SHA256 = {
+    ("rate", "positive", "--p", "3", "--tol", "1e-30"):
+        "ec45341db6aecc5b3167930bdc999ef7691f3a62e82989f5c9de75266e7205d4",
+    ("rate", "lower-bound", "--p", "4", "--tol", "1e-20", "--float"):
+        "de9f606d23fa3ed99950a6a11c1a608ca9990679ef04c507e4cedd570e3362b1",
+    ("rate", "report", "--pmax", "4", "--tol", "1e-25"):
+        "9227d8f6b0a368fb4d47212053fdcc0f3a979cfa2c872617507e613c4a6598b6",
+    ("rate", "report", "--pmax", "4", "--tol", "1e-25", "--format", "csv", "--float"):
+        "b43061a07e0c9d2b8a9906d8da2185a4a950da01bb4128c71019e81d796e2602",
+    ("growth", "language", "--p", "3", "--n", "12", "--method", "closed-form"):
+        "7226a180001e8a9e68d7d1007d28a839dec1c6ee92a6a621e662f6b8ef7244a7",
+    ("normalize", "--p", "3", "--form", "fin", "--trace", "x5 x2 x1^-1 x7 x0"):
+        "5ac9d86b6a13118278ee84a2a049e3d268549cbcb47d4009cc67cbcdbdd08016",
+    ("length", "--p", "3", "--classes", "x0 x2 x5"):
+        "944f59b84817f0c4d0d49a2bf02dc935e5393f1ad150ff85fb549ca7741bfd42",
+    ("equal", "--p", "3", "x2 x1", "x1 x4"):
+        "cbbb3b52cb04206b35594c7bf987924a11841ee49f46d3d3270abd33156e3824",
+    ("eval", "--p", "2", "x0 x1 x0^-1"):
+        "256287805dc2e7830402413296bd7727c65c4ffd74ddd20b60f27d7729dc859a",
+    ("verify", "--p", "2"):
+        "b8e69415c0d65c1b07449084aff15fb7536b94eb637e8c324c4ba6df5bc3d1f7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
+def test_output_bytes_are_pinned(capsys, argv):
+    code = run(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+
+
+def _digit_limit():
+    """The interpreter's limit on int-to-str digits; 0 where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    # reading the printed numbers back needs the limit lifted, as printing did
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_exact_numbers_past_the_digit_limit_print_in_full(capsys):
+    # count 1748 of the F(200) language is the first with more than 4300 digits
+    limit = _digit_limit()
+    counts = automaton.language_counts(200, 1760)
+    argv = ["growth", "language", "--p", "200", "--n", "1760"]
+    assert run(argv) == 0 and _digit_limit() == limit
+    json_out = capsys.readouterr().out
+    assert run([*argv, "--format", "csv"]) == 0 and _digit_limit() == limit
+    csv_out = capsys.readouterr().out.splitlines()
+    assert run(["rate", "positive", "--p", "2", "--tol", "1e-2200"]) == 0
+    assert _digit_limit() == limit
+    rate_out = capsys.readouterr().out
+    with _no_digit_limit():
+        assert json.loads(json_out)["counts"] == counts
+        assert csv_out[0] == "n,count"
+        assert [int(line.split(",")[1]) for line in csv_out[1:]] == counts
+        payload = json.loads(rate_out)
+        low, mid, high = (Fraction(payload[k]) for k in ("value_low", "midpoint", "value_high"))
+        assert len(str(mid.denominator)) > 4300
+    assert low <= mid <= high and high - low <= Fraction(1, 10**2200)
+
+
+def test_a_failed_render_prints_nothing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    limit = _digit_limit()
+    monkeypatch.setattr("thompson_fp.cli.json.dumps", refuse)
+    assert run(["eval", "--p", "2", "x0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "refused" in captured.err
+    assert _digit_limit() == limit
 
 
 def test_usage_error_exit_code(capsys):

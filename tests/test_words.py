@@ -26,7 +26,10 @@ def test_format_round_trip():
     assert parse_word(format_word((x(5), x(0, -1)))) == (x(5), x(0, -1))
 
 
-@pytest.mark.parametrize("bad", ["x", "x-1", "x1^2", "x1^1", "y0", "x0x1", "x01q"])
+# the last two spell 3 with an Arabic-Indic and a fullwidth digit
+@pytest.mark.parametrize(
+    "bad", ["x", "x-1", "x1^2", "x1^1", "y0", "x0x1", "x01q", "x\u0663", "x\uff13"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(WordParseError) as err:
         parse_word(bad)
