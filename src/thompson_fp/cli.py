@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import automaton as automaton_mod
 from . import diagrams, fordham, normal_forms, oracle, rates, series
-from .words import format_word, parse_word
+from .words import _digit_limit, format_word, parse_word
 
 SCHEMA = "1"
 
@@ -260,7 +260,7 @@ def _render(payload: dict, rows: list[dict] | None) -> str:
     Integers of any size print in full: the interpreter's limit on int-to-str
     digits is lifted for this step alone and restored after it, so arguments
     and words are still parsed under it."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     if limit:
         sys.set_int_max_str_digits(0)
     try:

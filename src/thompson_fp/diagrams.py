@@ -48,11 +48,29 @@ of x_n is R_k with a caret at child r of spine caret k.
   So the reduction climbs: while the parents of leaf a in the two trees
   have only leaves below them and leaf a at the same child index, both are
   removed; each test reads p characters on either side of the new leaf.
+* The spine list.  Finding spine caret k walks down T from its root, one
+  `_subtree_end` past the p - 1 left subtrees of each spine caret, and
+  those subtrees can hold most of T.  So `_times_generator` takes a list
+  whose entry d - 1 is the position in T of spine caret d, or of the leaf
+  that ends the spine; the list may stop short of the spine's end, but
+  entry 0 is always 0, the root.  The walk starts from the last entry and
+  appends each caret it passes.  The position of spine caret d + 1 is read
+  off the characters of T from caret d up to it, so an entry stays valid
+  while no character before it changes.  Each surgery then updates the list
+  to that of the new T: growth appends the grown carets; a rotation that
+  moves a caret into the spine inserts its new position as entry k, and
+  one that moves spine caret k + 1 down deletes entry k, since every other
+  spine caret keeps its position; refinement, which lengthens T at child r
+  of caret k, keeps entries 0..k - 1 and appends the new caret k + 1; and a
+  climb of removals drops every entry at or past its new leaf.  `evaluate`
+  carries one list across a whole word, so a letter walks only the spine
+  carets that no earlier letter has passed.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, NamedTuple
@@ -274,18 +292,26 @@ def compose(a: TreePair, b: TreePair) -> TreePair:
     return reduce(TreePair(p, source, target))
 
 
-def _times_generator(p: int, s: str, t: str, n: int, sign: int) -> tuple[str, str]:
+def _times_generator(
+    p: int, s: str, t: str, n: int, sign: int, spine: list[int]
+) -> tuple[str, str]:
     """The reduced pair (s, t) times x_n^sign, as its two preorder strings:
     the local surgery of the module docstring, refinement, one rotation and
-    at most one climb of caret removals."""
+    at most one climb of caret removals.  `spine` is the spine list of t
+    (module docstring), at least [0]; the walk down the spine starts from
+    its last entry, and the list is updated in place to that of the new t."""
     if n < 0:
         raise ValueError(f"generator index must be >= 0, got {n}")
     k = n // (p - 1) + 1
     r = n % (p - 1)  # leaf n is child r of spine caret k
     top = k if sign > 0 else k + 1  # the deepest spine caret the rotation needs
-    above, q, d = 0, 0, 1  # t[q] is spine caret d, t[above] the one above it
+    d = len(spine)
+    if d > top:
+        d = top
+    q = spine[d - 1]  # t[q] is spine caret d, or the leaf that ends the spine
     while d < top and t[q] == "C":
-        above, q = q, _subtree_end(t, q + 1, p, p - 1)
+        q = _subtree_end(t, q + 1, p, p - 1)
+        spine.append(q)
         d += 1
     grown = t[q] == "L"
     if grown:  # the spine stops at depth d: grow it to `top` in both trees
@@ -297,9 +323,9 @@ def _times_generator(p: int, s: str, t: str, n: int, sign: int) -> tuple[str, st
             )
         grow = ("C" + "L" * (p - 1)) * (top - d + 1)
         s, t = s[:-1] + grow + "L", t[:-1] + grow + "L"
-        if top > d:
-            above = q + (top - d - 1) * p
-            q = above + p
+        spine.extend(range(q + p, q + (top - d) * p + 1, p))
+        q = spine[-1]
+    # Now spine[top - 1] = q is spine caret `top`.
     if sign > 0:
         j = _subtree_end(t, q + 1, p, r)  # child r of spine caret k
         if t[j] == "L":
@@ -308,31 +334,38 @@ def _times_generator(p: int, s: str, t: str, n: int, sign: int) -> tuple[str, st
             # lies as far from the end of s as from the end of t.
             i = len(s) - len(t) + j if grown else _leaf_at(s, t.count("L", 0, j))
             s = s[:i] + "C" + "L" * p + s[i + 1:]
+            del spine[k:]
+            spine.append(j + p - 1 - r)
             return s, t[:j] + "L" * (p - 1 - r) + "C" + "L" * (r + 1) + t[j + 1:]
         # Move the caret at t[j] to the start of its child p - 1 - r: it
         # becomes spine caret k + 1 over the last p of the 2p - 1 pieces.
         b = _subtree_end(t, j + 1, p, p - 1 - r)
         t = t[:j] + t[j + 1:b] + "C" + t[b:]
         j = b - 1
+        spine.insert(k, j)
     else:
         # Move spine caret k + 1 down to child r of spine caret k.
-        j = _subtree_end(t, above + 1, p, r)
+        j = _subtree_end(t, spine[k - 1] + 1, p, r)
         t = t[:j] + "C" + t[j:q] + t[q + 1:]
+        del spine[k]
     # The moved caret is the only one that can now be reduced.
     if not t.startswith("L" * p, j + 1):
         return s, t
     i = _leaf_at(s, t.count("L", 0, j)) - 1
     if i < 0 or not s.startswith("C" + "L" * p, i):
         return s, t
-    return _collapse(p, s, t, i, j)
+    s, t, j = _collapse(p, s, t, i, j)
+    del spine[bisect_left(spine, j, 1):]
+    return s, t
 
 
-def _collapse(p: int, s: str, t: str, i: int, j: int) -> tuple[str, str]:
+def _collapse(p: int, s: str, t: str, i: int, j: int) -> tuple[str, str, int]:
     """Remove the exposed carets s[i:i+p+1] and t[j:j+p+1], which span the
     same leaves, and then each pair of parents that this exposes over the
     same leaves.  The removed part of each string is [i, hi), one caret that
     has become one leaf; its parent is the last "C" at most p characters
-    before it, if the characters around it are leaves."""
+    before it, if the characters around it are leaves.  Returns the two
+    strings and the position of the new leaf in t, the first that changed."""
     hi_s, hi_t = i + p + 1, j + p + 1
     while True:
         a = s.rfind("C", max(i - p, 0), i)
@@ -345,16 +378,18 @@ def _collapse(p: int, s: str, t: str, i: int, j: int) -> tuple[str, str]:
         hi_s += len(rest)
         hi_t += len(rest)
         i, j = a, b
-    return s[:i] + "L" + s[hi_s:], t[:j] + "L" + t[hi_t:]
+    return s[:i] + "L" + s[hi_s:], t[:j] + "L" + t[hi_t:], j
 
 
 def evaluate(p: int, word: Iterable[Letter]) -> TreePair:
     """Reduced diagram of a word, multiplying letters left to right, each by
-    one local surgery on the two strings."""
+    one local surgery on the two strings, with the target's spine list
+    carried from letter to letter."""
     _check_p(p)
     s = t = "L"
+    spine = [0]
     for n, sign in word:
-        s, t = _times_generator(p, s, t, n, sign)
+        s, t = _times_generator(p, s, t, n, sign, spine)
     return TreePair(p, PTree(s), PTree(t))
 
 

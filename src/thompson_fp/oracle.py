@@ -264,7 +264,8 @@ def bfs_group_ball(p: int, radius: int) -> BallStats:
         for el in frontier:
             w = elements[el]
             for letter in moves:
-                s, t = times(p, el.source, el.target, *letter)
+                # a fresh spine list: the surgery moves the one it is given
+                s, t = times(p, el.source, el.target, *letter, [0])
                 e2 = TreePair(p, PTree(s), PTree(t))
                 if e2 not in elements:
                     elements[e2] = w + (letter,)
@@ -428,7 +429,7 @@ def _language_counts(run: _Run) -> tuple[bool, str]:
     closed = pc == series.series_to_ints(automaton_mod.phi_series(p, n))
     brute_ns = [k for k in range(n) if (2 * p) ** k <= 50_000]
     brute = all(automaton_mod.count_language_bruteforce(p, k) == pc[k] for k in brute_ns)
-    return closed and brute, f"matrix==closed-form to n<{n}: {closed}; brute n={brute_ns}: {brute}"
+    return closed and brute, f"walk==closed-form to n<{n}: {closed}; brute n={brute_ns}: {brute}"
 
 
 def _series_master_equation(run: _Run) -> tuple[bool, str]:

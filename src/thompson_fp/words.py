@@ -7,6 +7,8 @@ Grammar for the text form (whitespace separated):
     DIGITS := [0-9]+
 
 DIGITS are ASCII only: a token spelt with other Unicode digits is malformed.
+A run of more DIGITS than the interpreter converts to an int
+(`sys.get_int_max_str_digits()`, 4300 by default) is refused too.
 
 "1" denotes the empty word and is only valid on its own.
 """
@@ -14,6 +16,7 @@ DIGITS are ASCII only: a token spelt with other Unicode digits is malformed.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, NamedTuple
 
 
@@ -41,6 +44,12 @@ def _check_p(p: int) -> None:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int read from or written
+    to a str; 0 where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def x(index: int, sign: int = 1) -> Letter:
     if index < 0:
         raise ValueError(f"generator index must be >= 0, got {index}")
@@ -49,29 +58,55 @@ def x(index: int, sign: int = 1) -> Letter:
     return Letter(index, sign)
 
 
-def parse_word(text: str) -> Word:
-    """Parse the text form of a word.  Blank input is the empty word."""
-    tokens = text.split()
-    if not tokens:
-        return ()
-    if tokens == ["1"]:
-        return ()
-    letters = []
+def _letter(token: str, limit: int) -> Letter | None:
+    """The letter a token spells, or None if it spells none: malformed, or
+    an index of more digits than the interpreter converts (`limit`, 0 for
+    none)."""
+    m = _TOKEN_RE.match(token)
+    if m is None or 0 < limit < len(m[1]):
+        return None
+    return Letter(int(m[1]), -1 if m[2] else 1)
+
+
+def _fault(text: str, tokens: list[str], table: dict[str, Letter | None]) -> WordParseError:
+    """The error for the first token of `tokens`, in text order, that spells
+    no letter in `table`, with its position in `text`."""
     pos = 0
     for tok in tokens:
         pos = text.index(tok, pos)
-        m = _TOKEN_RE.match(tok)
-        if m is None:
-            raise WordParseError(
-                f"malformed token {tok!r} at position {pos}: "
-                f"expected x<digits> or x<digits>^-1"
-            )
-        letters.append(Letter(int(m.group(1)), -1 if m.group(2) else 1))
+        if table[tok] is None:
+            break
         pos += len(tok)
-    return tuple(letters)
+    m = _TOKEN_RE.match(tok)
+    if m is None:
+        return WordParseError(
+            f"malformed token {tok!r} at position {pos}: "
+            f"expected x<digits> or x<digits>^-1"
+        )
+    return WordParseError(
+        f"generator index of {len(m[1])} digits at position {pos}: "
+        f"more than the interpreter's limit of {_digit_limit()} digits"
+    )
+
+
+def parse_word(text: str) -> Word:
+    """Parse the text form of a word.  Blank input is the empty word.  Each
+    distinct token is matched once, so equal tokens share one Letter; only a
+    word with a bad token is walked again, to report the first one."""
+    tokens = text.split()
+    if not tokens or tokens == ["1"]:
+        return ()
+    limit = _digit_limit()
+    table = {tok: _letter(tok, limit) for tok in set(tokens)}
+    if None in table.values():
+        raise _fault(text, tokens, table)
+    return tuple(map(table.__getitem__, tokens))
 
 
 def format_word(word: Iterable[Letter]) -> str:
-    parts = [f"x{a.index}" if a.sign > 0 else f"x{a.index}^-1" for a in word]
-    return " ".join(parts) if parts else "1"
-
+    """The text form of a word; each distinct letter is rendered once."""
+    word = tuple(word)
+    if not word:
+        return "1"
+    names = {a: f"x{a.index}" if a.sign > 0 else f"x{a.index}^-1" for a in set(word)}
+    return " ".join(map(names.__getitem__, word))

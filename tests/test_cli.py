@@ -276,7 +276,7 @@ OUTPUT_SHA256 = {
     ("eval", "--p", "2", "x0 x1 x0^-1"):
         "256287805dc2e7830402413296bd7727c65c4ffd74ddd20b60f27d7729dc859a",
     ("verify", "--p", "2"):
-        "b8e69415c0d65c1b07449084aff15fb7536b94eb637e8c324c4ba6df5bc3d1f7",
+        "f20d2663b5b1a8941640240cabe02d23bfc8d891f16911db7b28c49813d16156",
 }
 
 
@@ -367,6 +367,20 @@ def test_malformed_word_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "zz" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_an_index_past_the_digit_limit_is_refused_by_the_parser(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = run(["eval", "--p", "2", "x" + "1" * 4301])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "generator index of 4301 digits at position 0" in captured.err
+    assert "limit of 4300 digits" in captured.err and "Exceeds" not in captured.err
 
 
 def test_run_reuses_one_parser(capsys, monkeypatch):

@@ -277,7 +277,7 @@ def test_one_generator_surgery_matches_compose_and_reduce(p):
     for word in _surgery_words(p, rng):
         d = identity(p)
         for n, sign in word:
-            s, t = diagrams._times_generator(p, d.source, d.target, n, sign)
+            s, t = diagrams._times_generator(p, d.source, d.target, n, sign, [0])
             new = reduce(compose(d, _generator(p, n, sign)))
             assert (s, t) == (new.source, new.target), (p, word, n, sign)
             delta = num_carets(new.source) - num_carets(d.source)
@@ -285,6 +285,52 @@ def test_one_generator_surgery_matches_compose_and_reduce(p):
             climbed += delta <= -2  # the reduction removed more than one pair
             d = new
     assert grown and climbed
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+def test_evaluate_matches_the_whole_tree_fold(p):
+    # evaluate carries the spine list across letters; the oracle folds
+    # reduce(compose(d, g)) over the word from the identity.
+    rng = random.Random(1600 + p)
+    for word in _surgery_words(p, rng):
+        d = identity(p)
+        for n, sign in word:
+            d = reduce(compose(d, _generator(p, n, sign)))
+        assert evaluate(p, [Letter(n, sign) for n, sign in word]) == d, (p, word)
+
+
+def _fresh_spine(p, t):
+    """Positions of the spine carets of t and of the leaf that ends it, one
+    character at a time: past caret d lie its p - 1 left subtrees, and a
+    caret opens p subtrees where it closes one."""
+    spine = [0]
+    while t[spine[-1]] == "C":
+        i, open_ = spine[-1] + 1, p - 1
+        while open_:
+            open_ += p - 1 if t[i] == "C" else -1
+            i += 1
+        spine.append(i)
+    return spine
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7])
+def test_carried_spine_list_is_a_prefix_of_a_fresh_walk(p):
+    rng = random.Random(1500 + p)  # the seeds of the single-product test above
+    grown = climbed = carried = letters = 0
+    for word in _surgery_words(p, rng):
+        s = t = "L"
+        spine = [0]
+        for n, sign in word:
+            carets = s.count("C")
+            carried += len(spine) > 1
+            letters += 1
+            s, t = diagrams._times_generator(p, s, t, n, sign, spine)
+            fresh = _fresh_spine(p, t)
+            assert spine == fresh[:len(spine)], (p, word, n, sign)
+            grown += s.count("C") - carets >= 2  # spine carets added to both trees
+            climbed += s.count("C") - carets <= -2  # more than one pair removed
+    assert grown and climbed
+    assert carried > letters // 2  # most letters start from a carried list
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
