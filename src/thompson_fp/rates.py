@@ -16,15 +16,26 @@ read it through a Moebius map z = (alpha x + beta)/(gamma x + delta) from the
 route's root x to the rate: x, 1/x or y/(y - 1).  The route's form is then
 F(a, q) = G(alpha a + beta q, gamma a + delta q), which is q^d f(a/q) for the
 polynomial f(x) = (gamma x + delta)^d g(z), so F(a, q) has the sign of f(a/q).
-One routine, `_enclose`, serves all four routes.  It bisects on integers
-a < b over one shared q > 0, so there is no rounding and no gcd.  It stops
-once the rate's width over the bracket [a/q, b/q],
+One routine, `_enclose`, serves all four routes.  It returns the bracket
+that bisection on integers a < b over one shared q > 0 returns, so there is
+no rounding and no gcd, once the rate's width over the bracket [a/q, b/q],
 |alpha delta - beta gamma| q (b - a) / ((gamma a + delta q)(gamma b + delta q)),
 is at most tol, compared in integers; while the denominator product is not
-> 0, a pole lies in the bracket and the test fails.  The bracket keeps a sign
-change of f, so its image, the enclosure, is guaranteed to contain the rate.
-Every certificate is an integer sign test of a form: the bracket's sign
-change, and the end checks of zeta and xi.
+> 0, a pole lies in the bracket and the test fails.  `_bisect` finds that
+bracket with about 20 form evaluations, not one per bit: it interpolates to
+jump between bisection's dyadic cells, keeps one cell with a sign change of
+f, and falls back to a bisection step when a jump misses.  Its bracket is
+bisection's because each route's f has exactly one root in its start
+bracket, so the cell with a sign change is bisection's cell:
+- xi's t-form (1 - t)^p + (1 - t)^(p-1) - 1 decreases on [0, 1/2];
+- y^p - y - 1 increases on [1, 2], where p y^(p-1) - 1 > 0;
+- on [1/(2p), 1/p], the log-derivative of (1 - x^2)^(p-1) (1 + x - x^2),
+  -2(p-1) x/(1 - x^2) + (1 - 2x)/(1 + x - x^2), is below
+  -(p-1)/p + (p-1)/p = 0, and zeta_via_y's [p, p + 1/2] maps into it by 1/y.
+The bracket holds a cell whose ends have forms of opposite signs, so its
+image, the enclosure, is guaranteed to contain the rate.  Every certificate
+is an integer sign test of a form: the bracket's sign change, and the end
+checks of zeta and xi.
 """
 
 from __future__ import annotations
@@ -54,33 +65,106 @@ class RateResult(NamedTuple):
         return (self.low + self.high) / 2
 
 
-def _bisect(form: _Form, lo: Fraction, hi: Fraction, done: _Done) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] until done(a, b, q), where [a/q, b/q] is the bracket,
-    keeping form(a, q) and form(b, q) of opposite signs.  A step doubles a, b
-    and q; the midpoint of [a/q, b/q] is then (a + b) over the doubled q,
-    exactly the rational (lo + hi)/2."""
+def _bisect(
+    form: _Form, degree: int, lo: Fraction, hi: Fraction, done: _Done
+) -> tuple[Fraction, Fraction]:
+    """The bracket that bisecting [lo, hi] until done returns, for a form of
+    the given degree with one root in [lo, hi], a sign change, as each
+    route's form has (see the module docstring).
+
+    With a0/q = lo and w = (hi - lo) q, bisection's bracket after j steps is
+    a cell [a, a + w]/(q 2^j) with a = a0 2^j + k w.  The search holds one
+    cell whose ends have forms of opposite signs; with one root, that cell
+    and its ancestors are bisection's brackets.  It interpolates between the
+    cell's ends to name the cell m levels deeper and evaluates that cell's
+    ends: on a sign change it takes that cell and doubles m, else it takes
+    one bisection step and sets m to 1.  Each point's form is evaluated once,
+    at its least depth i, and read at depth j as 2^(degree (j - i)) times
+    that, since F(2a, 2q) = 2^degree F(a, q); a wrong degree slows the jumps
+    and changes no result.  done holds on every cell inside a done cell, so
+    a binary search over the first done cell's ancestors finds bisection's
+    stopping depth with no further form.  A form of 0 at x gives (x, x)
+    unless an ancestor above x's least depth is done, as in bisection,
+    which evaluates x only as a midpoint."""
     q = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (q // lo.denominator)
-    b = hi.numerator * (q // hi.denominator)
-    fa, fb = form(a, q), form(b, q)
-    if fa == 0:
+    a0 = lo.numerator * (q // lo.denominator)
+    w = hi.numerator * (q // hi.denominator) - a0
+    known: dict[tuple[int, int], int] = {}
+
+    def lowest(j: int, k: int) -> tuple[int, int]:
+        """(i, n): point k of depth j is point n of the least depth i."""
+        t = (k & -k).bit_length() - 1 if k else j
+        return j - t, k >> t
+
+    def value(j: int, k: int) -> int:
+        """The form at point k of depth j, (a0 2^j + k w)/(q 2^j)."""
+        i, n = lowest(j, k)
+        if (i, n) not in known:
+            known[i, n] = form((a0 << i) + n * w, q << i)
+        return known[i, n] << degree * (j - i)
+
+    def cell(j: int, k: int) -> tuple[int, int, int]:
+        a = (a0 << j) + k * w
+        return a, a + w, q << j
+
+    def first_done(i: int, j: int, k: int) -> tuple[int, int]:
+        """The least done ancestor of (j, k) at a depth in (i, j), or (j, k)."""
+        while j - i > 1:
+            mid = (i + j) // 2
+            if done(*cell(mid, k >> j - mid)):
+                j, k = mid, k >> j - mid
+            else:
+                i = mid
+        return j, k
+
+    def bracket(j: int, k: int) -> tuple[Fraction, Fraction]:
+        a, b, qj = cell(j, k)
+        return Fraction(a, qj), Fraction(b, qj)
+
+    def root_at(j: int, jx: int, kx: int) -> tuple[Fraction, Fraction]:
+        """The bracket for a form of 0 at point kx of depth jx, inside the
+        certified cell of depth j."""
+        jx, kx = lowest(jx, kx)
+        i, k = first_done(j, jx, kx)
+        if i < jx:
+            return bracket(i, k)
+        x = Fraction((a0 << jx) + kx * w, q << jx)
+        return x, x
+
+    fl, fr = value(0, 0), value(0, 1)
+    if fl == 0:
         return lo, lo
-    if fb == 0:
+    if fr == 0:
         return hi, hi
-    if (fa > 0) == (fb > 0):
+    pos_low = fl > 0
+    if pos_low == (fr > 0):
         raise ArithmeticError(f"no sign change on [{lo}, {hi}]")
-    pos_low = fa > 0
-    while not done(a, b, q):
-        mid = a + b
-        a, b, q = 2 * a, 2 * b, 2 * q
-        fm = form(mid, q)
-        if fm == 0:
-            return Fraction(mid, q), Fraction(mid, q)
-        if (fm > 0) == pos_low:
-            a = mid
+    # In the loop the certified cell (j, k) is not done, its ends have the
+    # forms fl and fr at depth j, fl of the sign pos_low, and jn is the depth
+    # of the certified cell before it.
+    j = k = jn = 0
+    m = 1
+    while not done(*cell(j, k)):
+        jm, km = j + m, (k << m) + (fl << m) // (fl - fr)
+        gl = value(jm, km)
+        if gl == 0:
+            return root_at(j, jm, km)
+        if (gl > 0) == pos_low:
+            gr = value(jm, km + 1)
+            if gr == 0:
+                return root_at(j, jm, km + 1)
+            if (gr > 0) != pos_low:
+                jn, j, k, m, fl, fr = j, jm, km, 2 * m, gl, gr
+                continue
+        gm = value(j + 1, 2 * k + 1)
+        if gm == 0:
+            return root_at(j, j + 1, 2 * k + 1)
+        if (gm > 0) == pos_low:
+            jn, j, k, fl, fr = j, j + 1, 2 * k + 1, gm, fr << degree
         else:
-            b = mid
-    return Fraction(a, q), Fraction(b, q)
+            jn, j, k, fl, fr = j, j + 1, 2 * k, fl << degree, gm
+        m = 1
+    return bracket(*first_done(jn, j, k))
 
 
 # The map x -> (alpha x + beta)/(gamma x + delta) from a root to its rate, as
@@ -120,12 +204,13 @@ def _width_test(m: _Map, tol: Fraction) -> _Done:
 
 
 class _Equation(NamedTuple):
-    """A root equation f(x) = 0: its form F(a, q) = q^d f(a/q), the map
-    from its root to the rate, and the text a RateResult prints.  A tuple,
-    so building one per call is cheap."""
+    """A root equation f(x) = 0: its form F(a, q) = q^d f(a/q), the degree
+    d, the map from its root to the rate, and the text a RateResult prints.
+    A tuple, so building one per call is cheap."""
 
     p: int
     form: _Form
+    degree: int
     rate: _Map
     text: str
 
@@ -136,7 +221,7 @@ class _Equation(NamedTuple):
 
 def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateResult:
     """Bisect eq on [lo, hi] until its rate is enclosed within tol."""
-    lo, hi = _bisect(eq.form, lo, hi, _width_test(eq.rate, _check_tol(tol)))
+    lo, hi = _bisect(eq.form, eq.degree, lo, hi, _width_test(eq.rate, _check_tol(tol)))
     return RateResult(eq.p, *_image(eq.rate, lo, hi), eq.text)
 
 
@@ -155,7 +240,7 @@ def _zeta_eq(p: int, rate: _Map, text: str) -> _Equation:
         c = aa - q * q
         return c ** (p - 1) * (c + a * q) - aa**p
 
-    return _Equation(p, form, rate, text)
+    return _Equation(p, form, 2 * p, rate, text)
 
 
 def _xi_eq(p: int, rate: _Map, text: str) -> _Equation:
@@ -167,7 +252,7 @@ def _xi_eq(p: int, rate: _Map, text: str) -> _Equation:
         a, q = al * a + be * q, ga * a + de * q
         return (2 * a - q) * (a - q) ** (p - 1) - a**p
 
-    return _Equation(p, form, rate, text)
+    return _Equation(p, form, p, rate, text)
 
 
 def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:

@@ -5,6 +5,7 @@ import pytest
 
 from thompson_fp import rates
 from thompson_fp.cli import run
+from thompson_fp.series import PowerSeries
 from thompson_fp.rates import (
     DEFAULT_TOL,
     _ONE_OVER_X,
@@ -49,6 +50,23 @@ def test_zeta_left_endpoint_is_positive():
     # zeta brackets its root on [1/(2p), 1/p] with no search: f(1/(2p)) > 0
     for p in range(2, 201):
         assert rates._zeta_eq(p, _ONE_OVER_X, "").at(F(1, 2 * p)) > 0, p
+
+
+def test_zeta_form_is_the_master_equation_at_its_pole():
+    # At the pole x M = 1, N = 1/(1 - x^2), and F = x N^p + (x^3 - x - 1) N + 1
+    # times (1 - x^2)^p is P below, of degree 2p + 1, so order 2p + 3 is exact.
+    # Both sides have degree <= 2p + 1 in a/q, so 2p + 2 points prove
+    # q^(2p+1) P(a/q) = -a F(a, q) for zeta's form F.
+    for p in range(2, 13):
+        x = PowerSeries.x(2 * p + 3)
+        s = 1 - x * x
+        coeffs = (x + (x * x * x - x - 1) * s.int_power(p - 1) + s.int_power(p)).coeffs
+        assert coeffs[-1] == 0
+        form = rates._zeta_eq(p, _ONE_OVER_X, "").form
+        q = 3
+        for a in range(-p - 1, p + 1):
+            at = sum(c * a**i * q ** (2 * p + 1 - i) for i, c in enumerate(coeffs[:-1]))
+            assert at == -a * form(a, q), (p, a)
 
 
 def test_each_route_form_is_its_printed_polynomial():
@@ -240,32 +258,98 @@ def _never(a, b, q):
 
 
 def test_bisect_hits_a_root_at_a_midpoint():
-    assert _bisect(lambda a, q: 2 * a - q, F(0), F(1), _never) == (F(1, 2), F(1, 2))
+    assert _bisect(lambda a, q: 2 * a - q, 1, F(0), F(1), _never) == (F(1, 2), F(1, 2))
     # 8x - 3 has its root 3/8 at the third midpoint of [0, 1]
-    assert _bisect(lambda a, q: 8 * a - 3 * q, F(0), F(1), _never) == (F(3, 8),) * 2
+    assert _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), _never) == (F(3, 8),) * 2
 
 
 def test_bisect_root_at_an_endpoint():
-    assert _bisect(lambda a, q: a, F(0), F(1), _never) == (F(0), F(0))
-    root_at_hi = _bisect(lambda a, q: 3 * a - 2 * q, F(1, 3), F(2, 3), _never)
+    assert _bisect(lambda a, q: a, 1, F(0), F(1), _never) == (F(0), F(0))
+    root_at_hi = _bisect(lambda a, q: 3 * a - 2 * q, 1, F(1, 3), F(2, 3), _never)
     assert root_at_hi == (F(2, 3), F(2, 3))
 
 
 def test_bisect_without_sign_change_raises():
     with pytest.raises(ArithmeticError, match="no sign change"):
-        _bisect(lambda a, q: a + q, F(0), F(1), _never)
+        _bisect(lambda a, q: a + q, 1, F(0), F(1), _never)
 
 
 def test_bisect_shared_denominator_and_done():
     # x^2 - 2 on [1/3, 5/2]: mixed denominators, stop once the width is <= 1/100
     lo, hi = _bisect(
         lambda a, q: a * a - 2 * q * q,
+        2,
         F(1, 3),
         F(5, 2),
         lambda a, b, q: (b - a) * 100 <= q,
     )
     assert lo * lo < 2 < hi * hi
     assert 0 < hi - lo <= F(1, 100)
+
+
+def test_bisect_stops_above_a_root_at_a_grid_point():
+    # 8x - 3 has its root 3/8 at depth 3, but [1/4, 1/2] at depth 2 is done
+    quarter = lambda a, b, q: 4 * (b - a) <= q
+    assert _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), quarter) == (F(1, 4), F(1, 2))
+
+
+# The linear integer loop that the jump search replaced, one form per step.
+
+
+def _linear_bisect(form, degree, lo, hi, done):
+    q = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    fa, fb = form(a, q), form(b, q)
+    if fa == 0:
+        return lo, lo
+    if fb == 0:
+        return hi, hi
+    assert (fa > 0) != (fb > 0)
+    pos_low = fa > 0
+    while not done(a, b, q):
+        mid = a + b
+        a, b, q = 2 * a, 2 * b, 2 * q
+        fm = form(mid, q)
+        if fm == 0:
+            return F(mid, q), F(mid, q)
+        if (fm > 0) == pos_low:
+            a = mid
+        else:
+            b = mid
+    return F(a, q), F(b, q)
+
+
+@pytest.mark.parametrize("route", [zeta, zeta_via_y, xi, xi_via_y])
+def test_jump_search_returns_the_linear_bracket(monkeypatch, route):
+    tols = (F(1, 10), F(1, 10**3), F(1, 2**20), F(1, 10**9), F(1, 10**30), F(1, 10**60))
+    for p in (2, 3, 4, 5, 7, 10, 16, 25, 40):
+        for tol in tols:
+            jumped = route(p, tol)
+            with monkeypatch.context() as m:
+                m.setattr(rates, "_bisect", _linear_bisect)
+                linear = route(p, tol)
+            assert (jumped.low, jumped.high) == (linear.low, linear.high), (p, tol)
+
+
+@pytest.mark.parametrize("route, builder", [(zeta, "_zeta_eq"), (xi, "_xi_eq")])
+def test_deep_enclosure_evaluates_few_forms(monkeypatch, route, builder):
+    # one form per bit of the tolerance would be about 340 evaluations
+    calls = []
+    real = getattr(rates, builder)
+
+    def counted(p, rate, text):
+        eq = real(p, rate, text)
+
+        def form(a, q):
+            calls.append((a, q))
+            return eq.form(a, q)
+
+        return eq._replace(form=form)
+
+    monkeypatch.setattr(rates, builder, counted)
+    route(200, F(1, 10**100))
+    assert len(calls) <= 64
 
 
 # The Fraction bisection the integer forms replaced, kept as an oracle.
