@@ -32,10 +32,16 @@ bracket, so the cell with a sign change is bisection's cell:
 - on [1/(2p), 1/p], the log-derivative of (1 - x^2)^(p-1) (1 + x - x^2),
   -2(p-1) x/(1 - x^2) + (1 - 2x)/(1 + x - x^2), is below
   -(p-1)/p + (p-1)/p = 0, and zeta_via_y's [p, p + 1/2] maps into it by 1/y.
-The bracket holds a cell whose ends have forms of opposite signs, so its
-image, the enclosure, is guaranteed to contain the rate.  Every certificate
-is an integer sign test of a form: the bracket's sign change, and the end
-checks of zeta and xi.
+The search keeps one invariant: its cell's two end forms are nonzero and of
+opposite signs, so the bracket's image, the enclosure, contains the rate.
+The one certificate is the integer sign test of the start bracket's ends.
+A form of 0 is refused, and no route meets one.  zeta's g(y) and xi's g(z)
+have leading coefficient 1, constant (-1)^p and no root at +-1 (zeta's
+g(+-1) = -1; xi's g(1) = -1, |g(-1)| = 3 2^(p-1) - 1), so by the rational
+root theorem no rational root.  At a pole the form is G(A, 0), A^d times
+g's coefficient of degree d: q^p for xi at t = 0 and xi_via_y at y = 1,
+inside their brackets; zeta's pole x = 0 lies outside [1/(2p), 1/p], and
+zeta_via_y's identity map has none.
 """
 
 from __future__ import annotations
@@ -69,8 +75,8 @@ def _bisect(
     form: _Form, degree: int, lo: Fraction, hi: Fraction, done: _Done
 ) -> tuple[Fraction, Fraction]:
     """The bracket that bisecting [lo, hi] until done returns, for a form of
-    the given degree with one root in [lo, hi], a sign change, as each
-    route's form has (see the module docstring).
+    the given degree with one root in [lo, hi], a sign change, and no zero
+    at a dyadic point, as each route's form has (see the module docstring).
 
     With a0/q = lo and w = (hi - lo) q, bisection's bracket after j steps is
     a cell [a, a + w]/(q 2^j) with a = a0 2^j + k w.  The search holds one
@@ -83,88 +89,59 @@ def _bisect(
     that, since F(2a, 2q) = 2^degree F(a, q); a wrong degree slows the jumps
     and changes no result.  done holds on every cell inside a done cell, so
     a binary search over the first done cell's ancestors finds bisection's
-    stopping depth with no further form.  A form of 0 at x gives (x, x)
-    unless an ancestor above x's least depth is done, as in bisection,
-    which evaluates x only as a midpoint."""
+    stopping depth with no further form.  Raises ArithmeticError when the
+    ends of [lo, hi] show no sign change or a form is 0."""
     q = lcm(lo.denominator, hi.denominator)
     a0 = lo.numerator * (q // lo.denominator)
     w = hi.numerator * (q // hi.denominator) - a0
     known: dict[tuple[int, int], int] = {}
 
-    def lowest(j: int, k: int) -> tuple[int, int]:
-        """(i, n): point k of depth j is point n of the least depth i."""
-        t = (k & -k).bit_length() - 1 if k else j
-        return j - t, k >> t
-
     def value(j: int, k: int) -> int:
-        """The form at point k of depth j, (a0 2^j + k w)/(q 2^j)."""
-        i, n = lowest(j, k)
+        """The form at (a0 2^j + k w)/(q 2^j), point n of the least depth i."""
+        t = (k & -k).bit_length() - 1 if k else j
+        i, n = j - t, k >> t
         if (i, n) not in known:
-            known[i, n] = form((a0 << i) + n * w, q << i)
+            a, qi = (a0 << i) + n * w, q << i
+            known[i, n] = form(a, qi)
+            if known[i, n] == 0:
+                raise ArithmeticError(f"the form is 0 at {Fraction(a, qi)}")
         return known[i, n] << degree * (j - i)
 
     def cell(j: int, k: int) -> tuple[int, int, int]:
         a = (a0 << j) + k * w
         return a, a + w, q << j
 
-    def first_done(i: int, j: int, k: int) -> tuple[int, int]:
-        """The least done ancestor of (j, k) at a depth in (i, j), or (j, k)."""
-        while j - i > 1:
-            mid = (i + j) // 2
-            if done(*cell(mid, k >> j - mid)):
-                j, k = mid, k >> j - mid
-            else:
-                i = mid
-        return j, k
-
-    def bracket(j: int, k: int) -> tuple[Fraction, Fraction]:
-        a, b, qj = cell(j, k)
-        return Fraction(a, qj), Fraction(b, qj)
-
-    def root_at(j: int, jx: int, kx: int) -> tuple[Fraction, Fraction]:
-        """The bracket for a form of 0 at point kx of depth jx, inside the
-        certified cell of depth j."""
-        jx, kx = lowest(jx, kx)
-        i, k = first_done(j, jx, kx)
-        if i < jx:
-            return bracket(i, k)
-        x = Fraction((a0 << jx) + kx * w, q << jx)
-        return x, x
-
     fl, fr = value(0, 0), value(0, 1)
-    if fl == 0:
-        return lo, lo
-    if fr == 0:
-        return hi, hi
     pos_low = fl > 0
     if pos_low == (fr > 0):
         raise ArithmeticError(f"no sign change on [{lo}, {hi}]")
-    # In the loop the certified cell (j, k) is not done, its ends have the
-    # forms fl and fr at depth j, fl of the sign pos_low, and jn is the depth
-    # of the certified cell before it.
-    j = k = jn = 0
-    m = 1
+    # In the loop the certified cell (j, k) is not done, and its ends have
+    # the nonzero forms fl and fr at depth j, fl of the sign pos_low.
+    j, k, m = 0, 0, 1
     while not done(*cell(j, k)):
         jm, km = j + m, (k << m) + (fl << m) // (fl - fr)
         gl = value(jm, km)
-        if gl == 0:
-            return root_at(j, jm, km)
         if (gl > 0) == pos_low:
             gr = value(jm, km + 1)
-            if gr == 0:
-                return root_at(j, jm, km + 1)
             if (gr > 0) != pos_low:
-                jn, j, k, m, fl, fr = j, jm, km, 2 * m, gl, gr
+                j, k, m, fl, fr = jm, km, 2 * m, gl, gr
                 continue
         gm = value(j + 1, 2 * k + 1)
-        if gm == 0:
-            return root_at(j, j + 1, 2 * k + 1)
         if (gm > 0) == pos_low:
-            jn, j, k, fl, fr = j, j + 1, 2 * k + 1, gm, fr << degree
+            j, k, fl, fr = j + 1, 2 * k + 1, gm, fr << degree
         else:
-            jn, j, k, fl, fr = j, j + 1, 2 * k, fl << degree, gm
+            j, k, fl, fr = j + 1, 2 * k, fl << degree, gm
         m = 1
-    return bracket(*first_done(jn, j, k))
+    # Bisection stops at (j, k)'s least done ancestor; depth 0 is done only if j = 0.
+    i = 0
+    while j - i > 1:
+        mid = (i + j) // 2
+        if done(*cell(mid, k >> j - mid)):
+            j, k = mid, k >> j - mid
+        else:
+            i = mid
+    a, b, qj = cell(j, k)
+    return Fraction(a, qj), Fraction(b, qj)
 
 
 # The map x -> (alpha x + beta)/(gamma x + delta) from a root to its rate, as
@@ -214,10 +191,6 @@ class _Equation(NamedTuple):
     rate: _Map
     text: str
 
-    def at(self, x: Fraction) -> int:
-        """The form at x's lowest terms, an int with the sign of f(x)."""
-        return self.form(*x.as_integer_ratio())
-
 
 def _enclose(eq: _Equation, lo: Fraction, hi: Fraction, tol: Fraction) -> RateResult:
     """Bisect eq on [lo, hi] until its rate is enclosed within tol."""
@@ -258,17 +231,11 @@ def _xi_eq(p: int, rate: _Map, text: str) -> _Equation:
 def zeta(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Positive-monoid growth rate with enclosure width <= tol."""
     f = _zeta_eq(p, _ONE_OVER_X, "(1-x^2)^(p-1)*(1+x-x^2)=1, rate=1/x")
-    hi = Fraction(1, p)
-    if f.at(hi) >= 0:
-        raise ArithmeticError(f"expected a sign change below x = 1/{p}")
     # f(1/(2p)) > 0 for every p >= 2.  With x = 1/(2p), Bernoulli gives
     # (1 - x^2)^(p-1) >= 1 - (p-1) x^2 > 1 - 1/(4p), and 1 + x - x^2 > 0, so
     # f(x) + 1 > (1 - 1/(4p)) (1 + 1/(2p) - 1/(4p^2))
     #          = 1 + (2p - 3)/(8p^2) + 1/(16p^3) > 1.
-    lo = hi / 2
-    if f.at(lo) <= 0:
-        raise ArithmeticError(f"expected f > 0 at x = 1/{2 * p}")
-    return _enclose(f, lo, hi, tol)
+    return _enclose(f, Fraction(1, 2 * p), Fraction(1, p), tol)
 
 
 def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
@@ -282,8 +249,6 @@ def zeta_via_y(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
 def xi(p: int, tol: Fraction = DEFAULT_TOL) -> RateResult:
     """Language growth rate (group growth lower bound), width <= tol."""
     f = _xi_eq(p, _ONE_OVER_X, "(1-t)^p+(1-t)^(p-1)=1, rate=1/t")
-    if f.at(Fraction(1, 2)) >= 0:
-        raise ArithmeticError("expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2")
     return _enclose(f, Fraction(0), Fraction(1, 2), tol)
 
 

@@ -276,7 +276,7 @@ OUTPUT_SHA256 = {
     ("eval", "--p", "2", "x0 x1 x0^-1"):
         "256287805dc2e7830402413296bd7727c65c4ffd74ddd20b60f27d7729dc859a",
     ("verify", "--p", "2"):
-        "f20d2663b5b1a8941640240cabe02d23bfc8d891f16911db7b28c49813d16156",
+        "5a5104e3b39bb78585c94b149436e1ed932bf26165476d93740079bc712b306f",
 }
 
 

@@ -49,7 +49,7 @@ def test_zeta_two_forms_agree():
 def test_zeta_left_endpoint_is_positive():
     # zeta brackets its root on [1/(2p), 1/p] with no search: f(1/(2p)) > 0
     for p in range(2, 201):
-        assert rates._zeta_eq(p, _ONE_OVER_X, "").at(F(1, 2 * p)) > 0, p
+        assert rates._zeta_eq(p, _ONE_OVER_X, "").form(1, 2 * p) > 0, p
 
 
 def test_zeta_form_is_the_master_equation_at_its_pole():
@@ -189,12 +189,12 @@ def test_bad_tolerance_rejected():
 
 
 @pytest.mark.parametrize("route, builder, sign, message", [
-    (zeta, "_zeta_eq", 1, "expected a sign change below x = 1/3"),
-    (zeta, "_zeta_eq", -1, "expected f > 0 at x = 1/6"),
-    (xi, "_xi_eq", 1, "expected (1-t)^p + (1-t)^(p-1) - 1 < 0 at t = 1/2"),
+    (zeta, "_zeta_eq", 1, "no sign change on [1/6, 1/3]"),
+    (zeta, "_zeta_eq", -1, "no sign change on [1/6, 1/3]"),
+    (xi, "_xi_eq", 1, "no sign change on [0, 1/2]"),
 ])
 def test_rate_certificates_fire(monkeypatch, route, builder, sign, message):
-    # an equation whose form is a constant of the wrong sign fails its check
+    # a constant form has no sign change on the route's start bracket
     real = getattr(rates, builder)
     monkeypatch.setattr(
         rates, builder,
@@ -257,16 +257,45 @@ def _never(a, b, q):
     return False
 
 
+def test_no_rate_polynomial_has_a_rational_root():
+    # g has leading coefficient 1 and constant (-1)^p, so a rational root is
+    # +-1 (rational root theorem), where each form is nonzero.  At the poles
+    # in a route's bracket, t = 0 of xi and y = 1 of xi_via_y, G(A, 0) = A^p.
+    for p in range(2, 61):
+        y = PowerSeries.x(2 * p + 2)
+        polys = [
+            (rates._zeta_eq, 2 * p - 1,
+             (y * y - 1).int_power(p - 1) * (y * y + y - 1) - y.int_power(2 * p)),
+            (rates._xi_eq, p, (2 * y - 1) * (y - 1).int_power(p - 1) - y.int_power(p)),
+        ]
+        for builder, degree, g in polys:
+            coeffs = g.coeffs
+            assert coeffs[degree] == 1 and not any(coeffs[degree + 1:]), (builder.__name__, p)
+            assert coeffs[0] == (-1) ** p, (builder.__name__, p)
+            form = builder(p, _X, "").form
+            for a in range(-3, 4):
+                assert form(a, 1) == sum(c * a**i for i, c in enumerate(coeffs)), (p, a)
+            assert form(1, 1) != 0 and form(-1, 1) != 0, (builder.__name__, p)
+        assert rates._xi_eq(p, _ONE_OVER_X, "").form(0, 1) != 0, p
+        assert rates._xi_eq(p, _Y_OVER_Y_MINUS_1, "").form(1, 1) != 0, p
+
+
+# A form of 0 at a grid point is refused, naming the point.
+
+
 def test_bisect_hits_a_root_at_a_midpoint():
-    assert _bisect(lambda a, q: 2 * a - q, 1, F(0), F(1), _never) == (F(1, 2), F(1, 2))
+    with pytest.raises(ArithmeticError, match=r"^the form is 0 at 1/2$"):
+        _bisect(lambda a, q: 2 * a - q, 1, F(0), F(1), _never)
     # 8x - 3 has its root 3/8 at the third midpoint of [0, 1]
-    assert _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), _never) == (F(3, 8),) * 2
+    with pytest.raises(ArithmeticError, match=r"^the form is 0 at 3/8$"):
+        _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), _never)
 
 
 def test_bisect_root_at_an_endpoint():
-    assert _bisect(lambda a, q: a, 1, F(0), F(1), _never) == (F(0), F(0))
-    root_at_hi = _bisect(lambda a, q: 3 * a - 2 * q, 1, F(1, 3), F(2, 3), _never)
-    assert root_at_hi == (F(2, 3), F(2, 3))
+    with pytest.raises(ArithmeticError, match=r"^the form is 0 at 0$"):
+        _bisect(lambda a, q: a, 1, F(0), F(1), _never)
+    with pytest.raises(ArithmeticError, match=r"^the form is 0 at 2/3$"):
+        _bisect(lambda a, q: 3 * a - 2 * q, 1, F(1, 3), F(2, 3), _never)
 
 
 def test_bisect_without_sign_change_raises():
@@ -288,9 +317,11 @@ def test_bisect_shared_denominator_and_done():
 
 
 def test_bisect_stops_above_a_root_at_a_grid_point():
-    # 8x - 3 has its root 3/8 at depth 3, but [1/4, 1/2] at depth 2 is done
+    # 8x - 3 has its root 3/8 at depth 3, and [1/4, 1/2] at depth 2 is done,
+    # but the jump from [0, 1/2] lands on 3/8 first, and is refused there
     quarter = lambda a, b, q: 4 * (b - a) <= q
-    assert _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), quarter) == (F(1, 4), F(1, 2))
+    with pytest.raises(ArithmeticError, match=r"^the form is 0 at 3/8$"):
+        _bisect(lambda a, q: 8 * a - 3 * q, 1, F(0), F(1), quarter)
 
 
 # The linear integer loop that the jump search replaced, one form per step.
@@ -332,24 +363,43 @@ def test_jump_search_returns_the_linear_bracket(monkeypatch, route):
             assert (jumped.low, jumped.high) == (linear.low, linear.high), (p, tol)
 
 
-@pytest.mark.parametrize("route, builder", [(zeta, "_zeta_eq"), (xi, "_xi_eq")])
-def test_deep_enclosure_evaluates_few_forms(monkeypatch, route, builder):
-    # one form per bit of the tolerance would be about 340 evaluations
-    calls = []
+def _record_points(monkeypatch, builder):
+    """The list of points F(a, q) at which the builder's forms are called."""
+    points = []
     real = getattr(rates, builder)
 
-    def counted(p, rate, text):
+    def recorded(p, rate, text):
         eq = real(p, rate, text)
 
         def form(a, q):
-            calls.append((a, q))
+            points.append(F(a, q))
             return eq.form(a, q)
 
         return eq._replace(form=form)
 
-    monkeypatch.setattr(rates, builder, counted)
+    monkeypatch.setattr(rates, builder, recorded)
+    return points
+
+
+@pytest.mark.parametrize("route, builder", [(zeta, "_zeta_eq"), (xi, "_xi_eq")])
+def test_deep_enclosure_evaluates_few_forms(monkeypatch, route, builder):
+    # one form per bit of the tolerance would be about 340 evaluations
+    calls = _record_points(monkeypatch, builder)
     route(200, F(1, 10**100))
     assert len(calls) <= 64
+
+
+@pytest.mark.parametrize(
+    "route, builder",
+    [(zeta, "_zeta_eq"), (zeta_via_y, "_zeta_eq"), (xi, "_xi_eq"), (xi_via_y, "_xi_eq")],
+)
+def test_each_point_is_evaluated_once(monkeypatch, route, builder):
+    points = _record_points(monkeypatch, builder)
+    for p in (2, 3, 5, 9, 20, 50, 200):
+        for tol in (F(1, 10**3), F(1, 10**9), F(1, 10**30), F(1, 10**100)):
+            points.clear()
+            route(p, tol)
+            assert len(set(points)) == len(points), (p, tol)
 
 
 # The Fraction bisection the integer forms replaced, kept as an oracle.
