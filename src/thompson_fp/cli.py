@@ -209,15 +209,15 @@ def _cmd_normalize(args) -> dict:
 
 def _cmd_length(args) -> dict:
     w = parse_word(args.word)
+    # evaluate returns the reduced diagram that _positive_source expects
     source = fordham._positive_source(args.p, diagrams.evaluate(args.p, w))
-    with_classes = args.classes and source != diagrams.LEAF
-    classified = fordham.classify(args.p, source) if with_classes else None
+    classified = fordham.classify(args.p, source) if args.classes else None
     payload = {
         "command": "length", "p": args.p, "word": format_word(w),
         "length": classified.total_weight if classified else fordham.tree_weight(args.p, source),
     }
-    if args.classes:
-        payload["classes"] = classified.to_json() if classified else {}
+    if classified:
+        payload["classes"] = classified.to_json()
     return payload
 
 

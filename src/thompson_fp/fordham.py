@@ -20,6 +20,10 @@ successor children after it):
     M^i:    children 0..p-i-1 -> M^i..M^{p-1} (pred);
             children p-i..p-1 -> M^1..M^i (succ)
 
+The children of M^i are the ring M^1..M^{p-1} read from M^i on, p entries
+round it, so one table of O(p) entries per p holds every row: the rows of
+root, left and right carets, and the ring written out twice.
+
 The total order lists, recursively, the predecessor subtrees, then the caret,
 then the successor subtrees.  A right caret is right_full when some middle
 caret occurs after it in the total order (equivalently, anywhere among its
@@ -28,14 +32,14 @@ when at least one of its successor children is a caret, otherwise
 middle_empty.  In a reduced positive tree at most one caret is right_empty.
 
 One left-to-right pass over the tree's preorder string, with a stack of
-(child kind table, next child position) per open caret, gives every caret
-its final class as it reads: a middle caret turns full when a successor
-child starts with "C", and a right caret, which lies on the rightmost path,
-turns full when a middle caret starts after its child 1 has begun.  The same
-pass lists the carets in total order: a caret's predecessor children come
-first among its children, so it takes its place when the pass reaches its
-first successor child, after all of its predecessor subtrees and before any
-of its successor subtrees.
+(offset into the table, next child position) per open caret, classes every
+caret as it reads: a middle caret turns full when a successor child starts
+with "C", and a right caret, which lies on the rightmost path, enters full
+and turns empty when the string ends with no middle caret started after its
+child 1 began.  The same pass lists the carets in total order: a caret's
+predecessor children come first among its children, so it takes its place
+when the pass reaches its first successor child, after all of its
+predecessor subtrees and before any of its successor subtrees.
 `tree_weight` sums `CARET_WEIGHTS` over the pass; `classify` keys the
 classes by preorder position in that order.
 """
@@ -103,39 +107,28 @@ class ClassifiedTree(NamedTuple):
 _ChildKinds = tuple[int, tuple[tuple[str, int], ...]]
 
 
-# One memo per p, keyed by (kind, middle index) and filled on first use: a
-# tree over F(p) needs at most p + 2 entries, however large p is.  The bound
-# on the values of p keeps the memo from growing with every p a long process
-# weighs.
+# The kind table of p (module docstring); the bound on the values of p keeps
+# a long process from keeping a table for every p it weighs.
 @lru_cache(maxsize=8)
-def _kind_memo(p: int) -> dict[tuple[str, int], _ChildKinds]:
-    return {}
+def _kind_table(p: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    ring = tuple((MIDDLE, c) for c in range(1, p)) * 2
+    return {
+        ROOT: ((LEFT, 0),) + ring[: p - 2] + ((RIGHT, 0),),
+        LEFT: ((LEFT, 0),) + ring[: p - 1],
+        RIGHT: ring[p - 2 : 2 * p - 3] + ((RIGHT, 0),),
+        MIDDLE: ring,
+    }
 
 
 def _child_kinds(p: int, kind: str, mid_i: int) -> _ChildKinds:
     """(number of predecessor children, (kind, middle index) per child
-    position), from the memo of p."""
-    memo = _kind_memo(p)
-    found = memo.get((kind, mid_i))
-    if found is None:
-        found = memo[kind, mid_i] = _make_child_kinds(p, kind, mid_i)
-    return found
-
-
-def _make_child_kinds(p: int, kind: str, mid_i: int) -> _ChildKinds:
-    if kind == ROOT:
-        return 1, ((LEFT, 0),) + tuple((MIDDLE, c) for c in range(1, p - 1)) + ((RIGHT, 0),)
-    if kind == LEFT:
-        return 1, ((LEFT, 0),) + tuple((MIDDLE, c) for c in range(1, p))
-    if kind == RIGHT:
-        return 1, ((MIDDLE, p - 1),) + tuple((MIDDLE, c) for c in range(1, p - 1)) + (
-            (RIGHT, 0),
-        )
-    if kind != MIDDLE:
+    position): a row of the table of p, or for M^i a slice of its ring."""
+    table = _kind_table(p)
+    if kind == MIDDLE:
+        return p - mid_i, table[MIDDLE][mid_i - 1 : mid_i - 1 + p]
+    if kind not in table:
         raise ValueError(f"unknown caret kind {kind!r}")
-    return p - mid_i, tuple((MIDDLE, mid_i + c) for c in range(p - mid_i)) + tuple(
-        (MIDDLE, k + 1) for k in range(mid_i)
-    )
+    return 1, table[kind]
 
 
 def _pass(
@@ -152,25 +145,30 @@ def _pass(
     the tree has npred = p and so never takes a place.
 
     A right caret lies on the rightmost path, so everything read after its
-    child 1 begins is inside its subtree, after it in the total order: it is
-    `pending` from then until the next middle caret starts, which marks it
-    right_full."""
+    child 1 begins is inside its subtree, after it in the total order.  It
+    enters as right_full and is `pending` from then until the next middle
+    caret starts; the right carets still pending at the end are
+    right_empty."""
+    table = _kind_table(p)
+    if kind not in table:
+        raise ValueError(f"unknown caret kind {kind!r}")
+    ring = table[MIDDLE]
     classes: list[str] = []
     mids: list[int | None] = []
     order: list[int] = []
     pending: list[int] = []  # right carets past child 0 and no middle caret since
-    # Per open caret: [predecessor count, child kinds, caret, its kind, next
-    # position]; the tree is the last child of a parent that is no caret.
+    # Per open caret: [predecessor count, kinds, offset, caret, its kind, next
+    # position], its child at pos having kind kinds[offset + pos]; the tree
+    # is the last child of a parent that is no caret.
     last = p - 1
-    memo = _kind_memo(p)
-    stack: list[list] = [[p, ((kind, mid_i),) * p, -1, None, last]]
+    stack: list[list] = [[p, ((kind, mid_i),), -last, -1, None, last]]
     for ch in tree:
         top = stack[-1]
-        npred, kinds, parent, pkind, pos = top
+        npred, kinds, offset, parent, pkind, pos = top
         if pos == last:
             stack.pop()
         else:
-            top[4] = pos + 1
+            top[5] = pos + 1
         if pos == npred:
             order.append(parent)
         if pkind == RIGHT and pos == 1:
@@ -179,18 +177,19 @@ def _pass(
             continue
         if pkind == MIDDLE and pos >= npred:
             classes[parent] = MIDDLE_FULL  # a successor child is a caret
-        ck, ci = child = kinds[pos]
+        ck, ci = kinds[offset + pos]
         idx = len(classes)
         if ck == MIDDLE:
             classes.append(MIDDLE_EMPTY)
-            if pending:
-                for r in pending:
-                    classes[r] = RIGHT_FULL
-                pending.clear()
+            mids.append(ci)
+            pending.clear()
+            stack.append([p - ci, ring, ci - 1, idx, ck, 0])
         else:
-            classes.append(RIGHT_EMPTY if ck == RIGHT else ck)
-        mids.append(ci if ck == MIDDLE else None)
-        stack.append([*(memo.get(child) or _child_kinds(p, ck, ci)), idx, ck, 0])
+            classes.append(RIGHT_FULL if ck == RIGHT else ck)
+            mids.append(None)
+            stack.append([1, table[ck], 0, idx, ck, 0])
+    for r in pending:
+        classes[r] = RIGHT_EMPTY
     return classes, mids, order
 
 
@@ -198,9 +197,8 @@ def classify(p: int, tree: PTree) -> ClassifiedTree:
     """Classify every caret of a tree read as the source of a positive diagram.
 
     Carets are numbered by their position in the tree (preorder).  Carets
-    of one class and middle index share one CaretClass."""
-    if tree == "L":
-        raise ValueError("the empty tree has no carets to classify")
+    of one class and middle index share one CaretClass.  The leaf, the
+    source of the identity, has no carets and an empty classification."""
     classes, mids, order = _pass(p, tree, ROOT, 0)
     shared = {key: CaretClass(*key) for key in set(zip(classes, mids))}
     return ClassifiedTree(p, tree, {i: shared[classes[i], mids[i]] for i in order})
@@ -217,11 +215,10 @@ def tree_weight(p: int, tree: PTree, root_kind: str = ROOT, middle_index: int = 
 
 
 def _positive_source(p: int, pair: TreePair) -> PTree:
-    """The source tree of a positive element's reduced diagram.  Raises
-    NotPositiveError for elements that are not positive."""
+    """The source tree of a positive element's diagram, given reduced.
+    Raises NotPositiveError for elements that are not positive."""
     if pair.p != p:
         raise ValueError(f"mismatched p: {pair.p} != {p}")
-    pair = reduce(pair)
     if not is_right_spine(p, pair.target):
         raise NotPositiveError(
             "Fordham positive method inapplicable: element is not positive"
@@ -230,5 +227,6 @@ def _positive_source(p: int, pair: TreePair) -> PTree:
 
 
 def positive_length(p: int, pair: TreePair) -> int:
-    """Word length of a positive element: the weight of `_positive_source`."""
-    return tree_weight(p, _positive_source(p, pair))
+    """Word length of a positive element: the weight of its reduced
+    diagram's source."""
+    return tree_weight(p, _positive_source(p, reduce(pair)))

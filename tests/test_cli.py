@@ -184,6 +184,22 @@ def test_length_runs_the_fordham_pass_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_length_reduces_no_diagram_again(capsys, monkeypatch):
+    # evaluate already returns the reduced diagram
+    calls = []
+    inner = fordham.reduce
+
+    def counting(pair):
+        calls.append(pair)
+        return inner(pair)
+
+    monkeypatch.setattr(fordham, "reduce", counting)
+    for flags in (["--classes"], []):
+        assert run(["length", "--p", "3", *flags, "x0 x2 x5"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "p, word, out",
     [

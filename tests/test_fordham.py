@@ -44,8 +44,9 @@ def test_single_caret_is_root_only():
     ct = classify(2, t)
     assert [c.kind for c in ct.classes.values()] == [ROOT]
     assert ct.total_weight == 0
-    with pytest.raises(ValueError, match="the empty tree has no carets to classify"):
-        classify(2, LEAF)
+    # the leaf, the identity's source, has no carets to classify
+    empty = classify(2, LEAF)
+    assert empty.classes == {} and empty.total_weight == 0
 
 
 def test_x2_source_tree_classes():
@@ -131,6 +132,21 @@ def test_pass_keeps_no_record_per_right_caret():
         tracemalloc.stop()
     assert weight == 199999
     assert peak < 48 * len(source)
+
+
+def test_kind_table_memory_is_linear_in_p():
+    # the source of x_1 ... x_{p-1} written twice holds every middle kind;
+    # after the pass only the table of p, O(p) entries, stays allocated
+    p = 431
+    source = evaluate(p, [Letter(i, 1) for i in range(1, p)] * 2).source
+    tracemalloc.start()
+    try:
+        weight = tree_weight(p, source)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert weight == 2 * p - 2
+    assert kept < 1_000_000
 
 
 def test_classification_keeps_no_record_per_caret():

@@ -177,9 +177,10 @@ def _seeded_words(seed, p, count, max_len, index_bound, positive):
 
 
 def _trace_cases():
-    """(p, word) pairs: short words, words up to 120 letters, and signed
-    words over indices 0..p+1, where cancels follow long runs and come in
-    chains."""
+    """(p, word) pairs: short words, words up to 120 letters, signed words
+    over indices 0..p+1, where cancels follow long runs and come in chains,
+    and words u u^-1 of an irreducible u, whose cancels empty the blocks
+    that hold u one after another."""
     rng = random.Random(17)
     for p in (2, 3, 5):
         for positive in (True, False):
@@ -194,6 +195,18 @@ def _trace_cases():
                 yield p, w
         for w in _seeded_words(200 + p, p, 40, 60, p + 1, False):
             yield p, w
+    irreducible = [(2, tuple(Letter(i, 1) for i in range(200)))]
+    rng = random.Random(19)
+    for p in (2, 3, 5):
+        for _ in range(3):
+            w = tuple(
+                Letter(rng.randint(0, 3 * p), 1 if rng.random() < 0.7 else -1)
+                for _ in range(rng.randint(100, 280))
+            )
+            irreducible.append((p, to_infinite_nf(p, w)))
+    for p, u in irreducible:
+        assert 60 <= len(u) <= 200, (p, len(u))
+        yield p, u + tuple(a.inverse() for a in reversed(u))
 
 
 def _cancels_after_runs(trace, run):

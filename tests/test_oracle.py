@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 from math import comb
 
 import pytest
@@ -82,22 +81,15 @@ def test_census_builds_the_same_trees_at_large_p():
         assert enumerate_positive_by_weight(p, w).trees_scanned == built, (p, w)
 
 
-def test_census_computes_each_kind_entry_once(monkeypatch):
-    # a tree over F(70) needs 72 (kind, middle index) entries; the memo of
-    # p keeps them all, across walks too
-    made = Counter()
-    make = fordham._make_child_kinds
-
-    def counted(p, kind, i):
-        made[p, kind, i] += 1
-        return make(p, kind, i)
-
-    monkeypatch.setattr(fordham, "_make_child_kinds", counted)
-    fordham._kind_memo.cache_clear()
+def test_census_computes_each_kind_entry_once():
+    # the kind entries of F(70) live in one table of p, built once when the
+    # census first needs it and kept across walks too
+    fordham._kind_table.cache_clear()
     enumerate_positive_by_weight(70, 2)
-    assert len(made) == 72 and set(made.values()) == {1}
+    info = fordham._kind_table.cache_info()
+    assert info.misses == 1 and info.hits > 0
     enumerate_positive_by_weight(70, 1)
-    assert len(made) == 72 and set(made.values()) == {1}
+    assert fordham._kind_table.cache_info().misses == 1
 
 
 def test_census_candidates_are_all_reduced():
