@@ -31,7 +31,15 @@ running sum over j; q_{i,0} takes q_i; q_0 and qbar take one sum each.  No
 matrix is built, so a letter costs O(p).  language_counts sums each step's
 counts, so a whole list of counts costs one walk; count_paths sums only the
 n-th, keeping one set of counts at a time.  phi_series and
-count_language_bruteforce stay independent of the walk, as checks on it.
+language_counts_bruteforce stay independent of the walk, as checks on it.
+
+language_counts_bruteforce reads only normal_forms.is_in_Lp.  L_p is the set
+of words avoiding the factors of patterns 1-5 in the normal_forms docstring,
+so every prefix of a word of L_p is in L_p, and one depth-first walk over
+the prefix tree of L_p reaches every word of it: each accepted word is
+extended by each of the 2p letters and the extensions is_in_Lp accepts are
+kept.  It tests 2p * sum_k |L_p ∩ Σ^k| words, which grows like xi^n, where
+filtering every word of Σ^k would test (2p)^k.
 """
 
 from __future__ import annotations
@@ -94,16 +102,49 @@ def phi_series(p: int, order: int) -> PowerSeries:
     return expand_rational(numerator.coeffs, denominator.coeffs, order)
 
 
-def count_language_bruteforce(p: int, n: int) -> int:
-    """Count |L_p ∩ Σ^n| by enumerating all (2p)^n words and filtering."""
+def language_counts_bruteforce(p: int, order: int) -> list[int]:
+    """|L_p ∩ Σ^n| for every n < order, by testing words with is_in_Lp.
+
+    L_p is closed under prefixes (module docstring), so a depth-first walk
+    from the empty word that extends each accepted word shorter than
+    order - 1 by every letter, and keeps the extensions is_in_Lp accepts,
+    meets each word of L_p of length < order exactly once.  The stack holds
+    at most 2p words per length, O(order * p) words.
+
+    The guard refuses before any word is tested when (2p)^(order-1), the
+    words of the longest length, exceeds BRUTE_FORCE_WORD_LIMIT.  The walk
+    tests at most (2p) + (2p)^2 + ... + (2p)^(order-1) words, and that sum
+    is at most 2p/(2p-1) <= 4/3 times its last term, so the guard bounds
+    the work by 4/3 of the limit.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     _check_p(p)
-    if n < 0:
-        raise ValueError(f"length must be >= 0, got {n}")
-    total = (2 * p) ** n
+    if order == 0:
+        return []
+    total = (2 * p) ** (order - 1)
     if total > BRUTE_FORCE_WORD_LIMIT:
         raise BruteForceGuardError(
             f"(2p)^n = {total} exceeds the enumeration limit "
             f"{BRUTE_FORCE_WORD_LIMIT}; use count_paths instead"
         )
-    alphabet = [Letter(i, s) for i in range(p) for s in (1, -1)]
-    return sum(1 for w in itertools.product(alphabet, repeat=n) if is_in_Lp(p, w))
+    alphabet = [(Letter(i, s),) for i in range(p) for s in (1, -1)]
+    counts = [0] * order
+    stack: list[tuple[Letter, ...]] = [()]
+    while stack:
+        w = stack.pop()
+        counts[len(w)] += 1
+        if len(w) < order - 1:
+            for a in alphabet:
+                v = w + a
+                if is_in_Lp(p, v):
+                    stack.append(v)
+    return counts
+
+
+def count_language_bruteforce(p: int, n: int) -> int:
+    """|L_p ∩ Σ^n|, read off language_counts_bruteforce(p, n + 1)."""
+    _check_p(p)
+    if n < 0:
+        raise ValueError(f"length must be >= 0, got {n}")
+    return language_counts_bruteforce(p, n + 1)[n]

@@ -156,9 +156,7 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
         elif args.method == "closed-form":
             counts = series.series_to_ints(automaton_mod.phi_series(args.p, args.n))
         else:
-            # longest first, so the enumeration guard refuses before any work
-            brute = automaton_mod.count_language_bruteforce
-            counts = [brute(args.p, n) for n in reversed(range(args.n))][::-1]
+            counts = automaton_mod.language_counts_bruteforce(args.p, args.n)
     payload = {
         "command": f"growth {args.what}", "p": args.p,
         "n": args.n, "method": args.method, key: counts,

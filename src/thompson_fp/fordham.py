@@ -120,14 +120,23 @@ def _kind_table(p: int) -> dict[str, tuple[tuple[str, int], ...]]:
     }
 
 
+def _check_kind(p: int, kind: str, mid_i: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    """The kind table of p, once `kind` is known to be in it and, for a
+    middle kind, 1 <= mid_i <= p-1."""
+    table = _kind_table(p)
+    if kind not in table:
+        raise ValueError(f"unknown caret kind {kind!r}")
+    if kind == MIDDLE and not 1 <= mid_i <= p - 1:
+        raise ValueError(f"middle index must be in 1..{p - 1}, got {mid_i}")
+    return table
+
+
 def _child_kinds(p: int, kind: str, mid_i: int) -> _ChildKinds:
     """(number of predecessor children, (kind, middle index) per child
     position): a row of the table of p, or for M^i a slice of its ring."""
-    table = _kind_table(p)
+    table = _check_kind(p, kind, mid_i)
     if kind == MIDDLE:
         return p - mid_i, table[MIDDLE][mid_i - 1 : mid_i - 1 + p]
-    if kind not in table:
-        raise ValueError(f"unknown caret kind {kind!r}")
     return 1, table[kind]
 
 
@@ -149,9 +158,7 @@ def _pass(
     enters as right_full and is `pending` from then until the next middle
     caret starts; the right carets still pending at the end are
     right_empty."""
-    table = _kind_table(p)
-    if kind not in table:
-        raise ValueError(f"unknown caret kind {kind!r}")
+    table = _check_kind(p, kind, mid_i)
     ring = table[MIDDLE]
     classes: list[str] = []
     mids: list[int | None] = []

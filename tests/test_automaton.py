@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -8,11 +9,19 @@ from thompson_fp.automaton import (
     count_language_bruteforce,
     count_paths,
     language_counts,
+    language_counts_bruteforce,
     phi_series,
 )
 from thompson_fp import oracle
 from thompson_fp.normal_forms import is_in_Lp
 from thompson_fp.series import series_to_ints
+from thompson_fp.words import Letter
+
+
+def _words(p, n):
+    """Every word of length n over x_0^±1 .. x_{p-1}^±1."""
+    letters = [Letter(i, s) for i in range(p) for s in (1, -1)]
+    return itertools.product(letters, repeat=n)
 
 
 def test_p2_path_counts():
@@ -41,22 +50,39 @@ def test_brute_force_agrees_with_matrix():
 
 
 def test_brute_force_counts_the_language():
-    # the automaton counts exactly the membership predicate
-    import itertools
-    from thompson_fp.words import x
-
-    p, n = 2, 5
-    letters = [x(i, s) for i in range(p) for s in (1, -1)]
-    direct = sum(1 for w in itertools.product(letters, repeat=n) if is_in_Lp(p, w))
-    assert direct == count_paths(p, n)
+    # the automaton counts exactly the membership predicate, and the walk
+    # over the prefix tree counts what filtering every word counts
+    for p, nmax in ((2, 7), (3, 5), (4, 4), (5, 3)):
+        direct = [sum(is_in_Lp(p, w) for w in _words(p, n)) for n in range(nmax + 1)]
+        assert direct == [count_paths(p, n) for n in range(nmax + 1)], p
+        assert language_counts_bruteforce(p, nmax + 1) == direct, p
 
 
-def test_brute_force_guard_trips():
+def test_brute_force_guard_trips(monkeypatch):
+    # the guard reads the longest length before the walk tests any word
+    def no_enumeration(p, word):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr("thompson_fp.automaton.is_in_Lp", no_enumeration)
     with pytest.raises(BruteForceGuardError):
         count_language_bruteforce(2, 40)
+    for p, order in ((2, 13), (3, 10)):
+        with pytest.raises(BruteForceGuardError, match="exceeds the enumeration limit"):
+            language_counts_bruteforce(p, order)
     with pytest.raises(ValueError, match="length must be >= 0, got -1"):
         count_language_bruteforce(2, -1)
+    with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+        language_counts_bruteforce(2, -1)
+    assert language_counts_bruteforce(2, 0) == []
     assert 4 ** 11 <= BRUTE_FORCE_WORD_LIMIT < 4 ** 13
+
+
+def test_language_is_prefix_closed():
+    # the premise of the brute-force walk: a prefix of a word of L_p is in L_p
+    for p, nmax in ((2, 6), (3, 5)):
+        for n in range(1, nmax + 1):
+            for w in _words(p, n):
+                assert not is_in_Lp(p, w) or is_in_Lp(p, w[:-1]), (p, w)
 
 
 def test_language_counts_agree_with_count_paths_and_phi():

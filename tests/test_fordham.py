@@ -227,6 +227,19 @@ def test_tree_weight_rejects_unknown_kind():
         tree_weight(2, parse_tree(2, "CLL"), "sideways")
 
 
+def test_middle_index_outside_the_ring_is_refused():
+    # M^i exists for 1 <= i <= p-1 only; each call checks the index once
+    bad = (
+        lambda: tree_weight(3, "CLLL", "middle", 7),
+        lambda: _child_kinds(3, "middle", 0),
+        lambda: tree_weight(3, "CCLLLLL", "middle", 7),
+    )
+    for call in bad:
+        with pytest.raises(ValueError, match="middle index must be in 1..2"):
+            call()
+    assert [tree_weight(3, "CLLL", "middle", i) for i in (1, 2)] == [1, 1]
+
+
 def _reference_order(p, tree):
     """Caret total order by recursion over `children`: the predecessor
     subtrees, the caret, then the successor subtrees; carets are numbered
