@@ -8,7 +8,8 @@ meaningful evidence:
     that builds, as preorder strings, only the p-trees which can weigh <= W
     and whose spine ends at a hanging caret, filtered by reducedness,
     weighed by the Fordham rules and histogrammed by weight -> positive
-    growth counts.  Its premises on the weight table are `_Walk`'s.
+    growth counts.  Each distinct hanging subtree is weighed once per call.
+    Its premises on the weight table are `_Walk`'s.
     enumerate_middle_by_weight histograms the same walk's list of hanging
     middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
@@ -20,6 +21,8 @@ meaningful evidence:
     normal-form round-trip checks.
   * verify_suite: one loop over _CHECKS, a table of named checks on one
     shared _Run; a check that raises ArithmeticError fails with its message.
+    finite-nf-injective evaluates the ball's normal forms in sorted order,
+    one product per distinct prefix.
 """
 
 from __future__ import annotations
@@ -57,11 +60,14 @@ _PRUNE_CLASSES = (fordham.LEFT, fordham.MIDDLE_EMPTY, fordham.MIDDLE_FULL, fordh
 class _Walk:
     """One census call's depth-first walk over the trees that can weigh at
     most a budget, built as preorder strings.  It reads the kinds of a
-    caret's children from fordham's table, memoises the hanging subtrees by
-    (kind, middle index, budget) and counts every tree it builds against
-    TREE_ENUMERATION_LIMIT.  `_hanging` and `_draw` recurse on the
-    budget, which each level lowers by one, and on the p child kinds, never
-    on the depth of a tree; the spine is walked with an explicit stack.
+    caret's children from fordham's table, memoises the list of hanging
+    subtrees by (kind, middle index, budget), weighs each distinct subtree
+    once per (kind, middle index), and counts every tree it builds against
+    TREE_ENUMERATION_LIMIT.  Its memos live and die with the walk, so each
+    census reads the weight table afresh.  `_hanging` and `_draw` recurse on
+    the budget, which each level lowers by one, and on the p child kinds,
+    never on the depth of a tree; the spine is walked with an explicit
+    stack.
 
     It refuses, when it starts, a weight table in which a left, middle or
     right_full caret weighs less than 1.  So every caret of a hanging
@@ -77,6 +83,7 @@ class _Walk:
         self.built = 0
         self._right_full = weights[fordham.RIGHT_FULL]
         self._lists: dict[tuple[str, int, int], list[tuple[PTree, int]]] = {}
+        self._weighed: dict[tuple[str, int], dict[str, tuple[PTree, int]]] = {}
 
     def _count(self) -> None:
         self.built += 1
@@ -89,18 +96,24 @@ class _Walk:
     def _hanging(self, kind: str, i: int, budget: int) -> list[tuple[PTree, int]]:
         """Every subtree hung as a `kind` (M^i) child that weighs <= budget,
         with its weight.  Its top caret, left or middle, has no right child,
-        and weighs >= 1 (see `_Walk`), so its children share budget - 1."""
+        and weighs >= 1 (see `_Walk`), so its children share budget - 1.
+        Each budget's draw builds the subtrees of the lower ones again, and
+        counts them again, but weighs only those no lower budget drew: the
+        lists share one (tree, weight) entry per subtree of each kind."""
         key = (kind, i, budget)
         found = self._lists.get(key)
         if found is None:
             found = [(LEAF, 0)]
+            weighed = self._weighed.setdefault((kind, i), {})
             kinds = fordham._child_kinds(self.p, kind, i)[1]
             for kids, _ in self._draw(kinds, budget - 1):
                 self._count()
-                tree = PTree("C" + kids)
-                w = fordham.tree_weight(self.p, tree, kind, i)
-                if w <= budget:
-                    found.append((tree, w))
+                entry = weighed.get(kids)
+                if entry is None:
+                    tree = PTree("C" + kids)
+                    entry = weighed[kids] = tree, fordham.tree_weight(self.p, tree, kind, i)
+                if entry[1] <= budget:
+                    found.append(entry)
             self._lists[key] = found
         return found
 
@@ -173,13 +186,16 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     walk prunes exactly when that sum exceeds W, so it reaches every such
     tree.  It also ends the spine only at a caret with hanging weight > 0,
     which skips only non-reduced trees: a tree with a caret is reduced
-    exactly when its deepest spine caret keeps a hanging caret.  A deepest caret that is a right caret is right_full
-    exactly when its children 1..p-2 hold a caret (see `_Walk._candidates`),
-    and the walk ends the spine there only if that weight fits too, which
-    skips only trees heavier than W.  So every candidate but the leaf is
-    reduced and weighs <= W.  Each candidate is still tested for
-    reducedness, and each reduced one is weighed whole with the Fordham
-    rules, so the counts take nothing from the series."""
+    exactly when its deepest spine caret keeps a hanging caret.  A deepest
+    caret that is a right caret is right_full exactly when its children
+    1..p-2 hold a caret (see `_Walk._candidates`), and the walk ends the
+    spine there only if that weight fits too, which skips only trees
+    heavier than W.  So every candidate but the leaf is reduced and weighs
+    <= W.  Each candidate is still tested for reducedness, and each reduced
+    one is weighed whole with the Fordham rules, so the counts take nothing
+    from the series.  A hanging subtree is weighed once per call, though
+    the walk builds it, and counts it in trees_scanned, once per budget
+    whose draw reaches it."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -396,13 +412,34 @@ def _fordham_vs_bfs(run: _Run) -> tuple[bool, str]:
 
 def _finite_nf_injective(run: _Run) -> tuple[bool, str]:
     """Each element's form evaluates back to it, so no two elements share a
-    form, and each form lies in L_p."""
+    form, and each form lies in L_p.  The forms are evaluated in sorted
+    order, as `diagrams.evaluate` does, letter by letter with the target's
+    spine list, but each distinct prefix once: `stack[k]` holds the pair
+    and spine list after the first k letters of the last form, and a form
+    keeps the entries of the prefix it shares with the last one and extends
+    them by one product, on a copy of its parent's spine list, per letter."""
     p, elements = run.p, run.ball.elements
+    times = diagrams._times_generator
+    pairs = ((normal_forms.finite_nf(p, w), el) for el, w in elements.items())
+    forms = sorted(pairs, key=lambda pair: pair[0])
     not_preserving, not_in_lang = 0, 0
-    for el, w in elements.items():
-        nf = normal_forms.finite_nf(p, w)
+    stack: list[tuple[str, str, list[int]]] = [(LEAF, LEAF, [0])]
+    last: Word = ()
+    for nf, el in forms:
         not_in_lang += not normal_forms.is_in_Lp(p, nf)
-        not_preserving += diagrams.evaluate(p, nf) != el
+        k = 0
+        for a, b in zip(last, nf):
+            if a != b:
+                break
+            k += 1
+        del stack[k + 1:]
+        for n, sign in nf[k:]:
+            s, t, spine = stack[-1]
+            spine = spine.copy()
+            stack.append((*times(p, s, t, n, sign, spine), spine))
+        s, t, _ = stack[-1]
+        not_preserving += (s, t) != (el.source, el.target)
+        last = nf
     return not_preserving == not_in_lang == 0, (
         f"ball {len(elements)}: eval mismatches={not_preserving}, outside L_p={not_in_lang}"
     )

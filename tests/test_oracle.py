@@ -1,9 +1,11 @@
+import collections
 import itertools
+import random
 from math import comb
 
 import pytest
 
-from thompson_fp import fordham, oracle
+from thompson_fp import diagrams, fordham, normal_forms, oracle
 from thompson_fp.cli import run
 from thompson_fp.diagrams import evaluate, num_carets, num_leaves, parse_tree
 from thompson_fp.oracle import (
@@ -17,6 +19,7 @@ from thompson_fp.oracle import (
     verify_suite,
 )
 from thompson_fp.series import positive_growth_series
+from thompson_fp.words import Letter
 
 
 def _tree_count(p, carets):
@@ -144,6 +147,23 @@ def test_census_equals_unpruned_scan(iter_trees):
             for i in range(1, p):
                 got = enumerate_middle_by_weight(p, i, w)
                 assert got == middles[i - 1][: w + 1], (p, i, w)
+
+
+@pytest.mark.parametrize("p, w, hanging", [(2, 10, 1976), (4, 6, 3820)])
+def test_census_weighs_each_hanging_subtree_once(monkeypatch, p, w, hanging):
+    # each budget's list draws the lower budgets' subtrees again, but takes
+    # their weights from the walk's entries; candidates are weighed whole
+    real, calls = fordham.tree_weight, collections.Counter()
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fordham, "tree_weight", counted)
+    census = enumerate_positive_by_weight(p, w)
+    assert max(calls.values()) == 1
+    assert sum(len(args) == 4 for args in calls) == hanging
+    assert census.counts == tuple(positive_growth_series(p, w + 1).counts())
 
 
 def test_census_reads_live_weight_table():
@@ -321,7 +341,7 @@ def test_enumerate_infinite_nf_agrees_with_filtering():
 
 
 def test_verify_suite_small_passes():
-    for p in (2, 3):
+    for p in (2, 3, 4):
         report = verify_suite(p, "small")
         assert report.ok, [c for c in report.checks if not c.passed]
         assert len(report.checks) == 10
@@ -339,6 +359,50 @@ def test_verify_suite_json_shape():
 def test_verify_suite_rejects_unknown_profile():
     with pytest.raises(ValueError):
         verify_suite(2, "huge")
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_finite_nf_check_catches_two_swapped_forms(monkeypatch):
+    # x0 and x1 lie at distance 1, so the ball holds them as one-letter words
+    real, x0, x1 = normal_forms.finite_nf, (Letter(0, 1),), (Letter(1, 1),)
+    swap = {x0: x1, x1: x0}
+    monkeypatch.setattr(normal_forms, "finite_nf", lambda p, w: real(p, swap.get(w, w)))
+    check = _check(verify_suite(2, "small"), "finite-nf-injective")
+    assert not check.passed
+    assert check.details == "ball 161: eval mismatches=2, outside L_p=0"
+
+
+def test_finite_nf_check_catches_a_form_outside_the_language(monkeypatch):
+    # x0 x0^-1 names the identity, so only the language test can see it
+    real, bad = normal_forms.finite_nf, (Letter(0, 1), Letter(0, -1))
+    monkeypatch.setattr(normal_forms, "finite_nf", lambda p, w: real(p, w) if w else bad)
+    check = _check(verify_suite(2, "small"), "finite-nf-injective")
+    assert not check.passed
+    outside = int(check.details.rsplit("outside L_p=", 1)[1])
+    assert outside >= 1, check.details
+
+
+@pytest.mark.parametrize("p, products", [(2, 190), (3, 1164), (4, 4087)])
+def test_finite_nf_check_makes_one_product_per_distinct_prefix(monkeypatch, p, products):
+    # the forms have 636 / 3982 / 13 962 letters; each distinct nonempty
+    # prefix of them costs one product
+    cfg = oracle._PROFILES["small"]
+    ball = bfs_group_ball(p, cfg["radius"])
+    forms = [normal_forms.finite_nf(p, w) for w in ball.elements.values()]
+    assert len({nf[:k] for nf in forms for k in range(1, len(nf) + 1)}) == products
+    real, calls = diagrams._times_generator, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(diagrams, "_times_generator", counted)
+    passed, _ = oracle._finite_nf_injective(oracle._Run(p, cfg, random.Random(0), ball, []))
+    assert passed
+    assert len(calls) == products
 
 
 def test_census_check_catches_corrupted_weights(monkeypatch):
