@@ -35,10 +35,8 @@ language_counts_bruteforce stay independent of the walk, as checks on it.
 
 language_counts_bruteforce reads only normal_forms.is_in_Lp.  L_p is the set
 of words avoiding the factors of patterns 1-5 in the normal_forms docstring,
-so every prefix of a word of L_p is in L_p, and one depth-first walk over
-the prefix tree of L_p reaches every word of it: each accepted word is
-extended by each of the 2p letters and the extensions is_in_Lp accepts are
-kept.  It tests 2p * sum_k |L_p ∩ Σ^k| words, which grows like xi^n, where
+so every prefix of a word of L_p is in L_p, and words._grow walks all of it,
+testing 2p * sum_k |L_p ∩ Σ^k| words, which grows like xi^n, where
 filtering every word of Σ^k would test (2p)^k.
 """
 
@@ -49,7 +47,7 @@ import operator
 from typing import Iterator
 
 from .series import PowerSeries, expand_rational
-from .words import Letter, _check_p
+from .words import Letter, _check_p, _grow
 from .normal_forms import is_in_Lp
 
 BRUTE_FORCE_WORD_LIMIT = 10**7
@@ -105,11 +103,9 @@ def phi_series(p: int, order: int) -> PowerSeries:
 def language_counts_bruteforce(p: int, order: int) -> list[int]:
     """|L_p ∩ Σ^n| for every n < order, by testing words with is_in_Lp.
 
-    L_p is closed under prefixes (module docstring), so a depth-first walk
-    from the empty word that extends each accepted word shorter than
-    order - 1 by every letter, and keeps the extensions is_in_Lp accepts,
-    meets each word of L_p of length < order exactly once.  The stack holds
-    at most 2p words per length, O(order * p) words.
+    L_p is closed under prefixes (module docstring), so words._grow meets
+    each word of L_p of length < order exactly once, and the counts are the
+    histogram of their lengths.
 
     The guard refuses before any word is tested when (2p)^(order-1), the
     words of the longest length, exceeds BRUTE_FORCE_WORD_LIMIT.  The walk
@@ -128,17 +124,10 @@ def language_counts_bruteforce(p: int, order: int) -> list[int]:
             f"(2p)^n = {total} exceeds the enumeration limit "
             f"{BRUTE_FORCE_WORD_LIMIT}; use count_paths instead"
         )
-    alphabet = [(Letter(i, s),) for i in range(p) for s in (1, -1)]
+    alphabet = [Letter(i, s) for i in range(p) for s in (1, -1)]
     counts = [0] * order
-    stack: list[tuple[Letter, ...]] = [()]
-    while stack:
-        w = stack.pop()
+    for w in _grow(alphabet, order - 1, lambda v: is_in_Lp(p, v)):
         counts[len(w)] += 1
-        if len(w) < order - 1:
-            for a in alphabet:
-                v = w + a
-                if is_in_Lp(p, v):
-                    stack.append(v)
     return counts
 
 

@@ -63,8 +63,8 @@ of x_n is R_k with a caret at child r of spine caret k.
   spine caret keeps its position; refinement, which lengthens T at child r
   of caret k, keeps entries 0..k - 1 and appends the new caret k + 1; and a
   climb of removals drops every entry at or past its new leaf.  `evaluate`
-  carries one list across a whole word, so a letter walks only the spine
-  carets that no earlier letter has passed.
+  alone carries one list across a whole word, so a letter walks only the
+  spine carets that no earlier letter has passed; other callers pass [0].
 """
 
 from __future__ import annotations

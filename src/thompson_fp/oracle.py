@@ -17,12 +17,12 @@ meaningful evidence:
     diagram mapped to a geodesic word -> word lengths and sphere sizes.
     It refuses a ball of more than BALL_SIZE_LIMIT: at once if the normal
     forms up to the radius already pass it, else at the first element past it.
-  * bfs_positive_monoid / enumerate_infinite_nf: word corpora for the
-    normal-form round-trip checks.
+  * bfs_positive_monoid / enumerate_infinite_nf (grown by words._grow):
+    word corpora for the normal-form round-trip checks.
   * verify_suite: one loop over _CHECKS, a table of named checks on one
     shared _Run; a check that raises ArithmeticError fails with its message.
     finite-nf-injective evaluates the ball's normal forms in sorted order,
-    one product per distinct prefix.
+    one product per distinct prefix, each on a fresh spine list.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 from . import automaton as automaton_mod
 from . import diagrams, fordham, normal_forms, rates, series
 from .diagrams import LEAF, PTree, TreePair
-from .words import Letter, Word, _check_p
+from .words import Letter, Word, _check_p, _grow
 
 TREE_ENUMERATION_LIMIT = 20_000_000
 BALL_SIZE_LIMIT = 10**6
@@ -306,19 +306,13 @@ def bfs_positive_monoid(p: int, max_len: int, index_bound: int) -> list[Word]:
 
 def enumerate_infinite_nf(p: int, max_len: int, index_bound: int) -> Iterator[Word]:
     """All irreducible words of length <= max_len with indices <= index_bound,
-    grown letter by letter: a letter may follow the last one if the pair
-    is irreducible."""
+    grown by words._grow: a letter may follow the last one if the pair is
+    irreducible.  The arguments are checked at the call, not when iterated."""
     _check_p(p)
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     alphabet = [Letter(i, s) for i in range(index_bound + 1) for s in (1, -1)]
-
-    def extend(w: Word) -> Iterator[Word]:
-        yield w
-        if len(w) < max_len:
-            for a in alphabet:
-                if not w or normal_forms.is_infinite_nf(p, (w[-1], a)):
-                    yield from extend(w + (a,))
-
-    yield from extend(())
+    return _grow(alphabet, max_len, lambda v: normal_forms.is_infinite_nf(p, v[-2:]))
 
 
 class CheckResult(NamedTuple):
@@ -413,17 +407,16 @@ def _fordham_vs_bfs(run: _Run) -> tuple[bool, str]:
 def _finite_nf_injective(run: _Run) -> tuple[bool, str]:
     """Each element's form evaluates back to it, so no two elements share a
     form, and each form lies in L_p.  The forms are evaluated in sorted
-    order, as `diagrams.evaluate` does, letter by letter with the target's
-    spine list, but each distinct prefix once: `stack[k]` holds the pair
-    and spine list after the first k letters of the last form, and a form
-    keeps the entries of the prefix it shares with the last one and extends
-    them by one product, on a copy of its parent's spine list, per letter."""
+    order, each distinct prefix once: `stack[k]` holds the pair after the
+    first k letters of the last form, and a form keeps the entries of the
+    prefix it shares with the last one and extends them by one product per
+    letter, each on a fresh spine list as in `bfs_group_ball`."""
     p, elements = run.p, run.ball.elements
     times = diagrams._times_generator
     pairs = ((normal_forms.finite_nf(p, w), el) for el, w in elements.items())
     forms = sorted(pairs, key=lambda pair: pair[0])
     not_preserving, not_in_lang = 0, 0
-    stack: list[tuple[str, str, list[int]]] = [(LEAF, LEAF, [0])]
+    stack: list[tuple[str, str]] = [(LEAF, LEAF)]
     last: Word = ()
     for nf, el in forms:
         not_in_lang += not normal_forms.is_in_Lp(p, nf)
@@ -434,11 +427,8 @@ def _finite_nf_injective(run: _Run) -> tuple[bool, str]:
             k += 1
         del stack[k + 1:]
         for n, sign in nf[k:]:
-            s, t, spine = stack[-1]
-            spine = spine.copy()
-            stack.append((*times(p, s, t, n, sign, spine), spine))
-        s, t, _ = stack[-1]
-        not_preserving += (s, t) != (el.source, el.target)
+            stack.append(times(p, *stack[-1], n, sign, [0]))
+        not_preserving += stack[-1] != (el.source, el.target)
         last = nf
     return not_preserving == not_in_lang == 0, (
         f"ball {len(elements)}: eval mismatches={not_preserving}, outside L_p={not_in_lang}"

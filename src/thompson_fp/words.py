@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class WordParseError(ValueError):
@@ -42,6 +42,26 @@ _TOKEN_RE = re.compile(r"x([0-9]+)(\^-1)?\Z")
 def _check_p(p: int) -> None:
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
+
+
+def _grow(alphabet: list[Letter], max_len: int, member: Callable[[Word], bool]) -> Iterator[Word]:
+    """Every word of length <= max_len of a prefix-closed set of words over
+    `alphabet`, by a depth-first walk from the empty word that extends each
+    word shorter than max_len by every letter and keeps the extensions
+    `member` accepts, so `member` tests only words whose prefix one letter
+    shorter is in the set.  A word is pushed only by that prefix, so each
+    is met exactly once, and the words of one length on the stack extend
+    one word: at most len(alphabet) of them."""
+    units = [(a,) for a in alphabet]
+    stack: list[Word] = [()]
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < max_len:
+            for a in units:
+                v = w + a
+                if member(v):
+                    stack.append(v)
 
 
 def _digit_limit() -> int:

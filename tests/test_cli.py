@@ -263,7 +263,8 @@ def test_verify_small(capsys):
 
 
 def test_failed_verification_prints_its_report_and_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("thompson_fp.oracle._CHECKS", (("relations", lambda run: (False, "forced")),))
+    checks = (("relations", lambda run: (False, "forced")),)
+    monkeypatch.setattr("thompson_fp.oracle._CHECKS", checks)
     code, payload = _run_json(capsys, ["verify", "--p", "2"])
     assert code == 1
     assert payload["ok"] is False
@@ -368,7 +369,8 @@ def test_usage_error_exit_code(capsys):
         (["growth", "positive", "--p", "2", "--n", "abc"], "argument --n: 'abc' is not an integer"),
         (["rate", "positive", "--p", "2", "--tol", "abc"],
          "argument --tol: 'abc' is not a rational tolerance"),
-        (["rate", "positive", "--p", "2", "--tol", "0"], "argument --tol: tolerance must be positive"),
+        (["rate", "positive", "--p", "2", "--tol", "0"],
+         "argument --tol: tolerance must be positive"),
     ):
         errs = []
         for _ in range(2):

@@ -340,6 +340,16 @@ def test_enumerate_infinite_nf_agrees_with_filtering():
     assert got == expected
 
 
+def test_enumerate_infinite_nf_checks_p_when_called():
+    with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
+        enumerate_infinite_nf(1, 2, 2)
+
+
+def test_enumerate_infinite_nf_refuses_a_negative_length_when_called():
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        enumerate_infinite_nf(2, -1, 2)
+
+
 def test_verify_suite_small_passes():
     for p in (2, 3, 4):
         report = verify_suite(p, "small")
