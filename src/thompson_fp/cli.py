@@ -146,7 +146,7 @@ def _cmd_growth(args) -> tuple[dict, list[dict]]:
     if args.what == "positive":
         key = "coefficients"
         if args.method == "series":
-            counts = series.positive_growth_series(args.p, args.n).counts()
+            counts = series.positive_counts(args.p, args.n)
         else:
             counts = list(oracle.enumerate_positive_by_weight(args.p, args.n - 1).counts)
     else:

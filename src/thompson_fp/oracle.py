@@ -297,6 +297,8 @@ def bfs_positive_monoid(p: int, max_len: int, index_bound: int) -> list[Word]:
     """All positive normal-form words: nondecreasing index sequences of
     length <= max_len over x_0..x_{index_bound}."""
     _check_p(p)
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     out: list[Word] = []
     for m in range(max_len + 1):
         for combo in itertools.combinations_with_replacement(range(index_bound + 1), m):

@@ -32,11 +32,28 @@ coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
 read from N^i, then M = P_{p-1}; each M_i = P_i / P_{i-1}, L and Q (at
 order n + 1, so that (L - Q)/x keeps order n) is one exact division.  The
 factored route L M_1...M_{p-2} R multiplies the quotients themselves, so
-its one comparison with S fails if any division is wrong.
+its one comparison with S fails if any division is wrong.  That bundle,
+`positive_growth_series`, costs O(p n^2) products for n coefficients.
+
+The counts alone need only N^(p-1), for M = P_{p-1}, and N^p, for N's
+recurrence.  `positive_counts` steps N, N^(p-1) and N^p together, taking
+each power W = N^a from N by J. C. P. Miller's recurrence (Knuth, TAOCP
+vol. 2, 4.7): comparing coefficients of x^(k-1) in N W' = a N' W, with
+N_0 = 1, gives
+
+    k W_k = sum_{j=1..k} ((a + 1) j - k) N_j W_{k-j},
+
+O(k) products per coefficient whatever p is, so O(n^2) in all.  The
+division by k is exact because W = N^a has integer coefficients; it is
+checked all the same.  It then takes L, Q and S as the bundle's first
+route does, on plain int lists.  The CLI prints from `positive_counts`;
+`verify`, the tests and the acceptance file read the bundle, and a test
+compares the two.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .words import _check_p
@@ -194,6 +211,37 @@ def solve_M(p: int, order: int) -> PowerSeries:
         M = 1 + x^-2 ((1 - x^3 M)^-(p-1) - 1)."""
     _check_p(p)
     return _p_products(p, order)[-1]
+
+
+def positive_counts(p: int, order: int) -> list[int]:
+    """s_0 .. s_{order-1} by the module docstring's second route: N, N^(p-1)
+    and N^p by Miller's recurrence, then S = (1 + x)(L - Q)/x."""
+    _check_p(p)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    size = order + 2  # coefficients 0..order+1, as in _solve_n_powers
+    # N = 1 + O(x^3), so N and its powers all begin 1, 0, 0, and Miller's
+    # sums start at j = 3; at p = 2, N^(p-1) is N itself
+    n = [1] + [0] * (size - 1)
+    wp = n[:]
+    w = n if p == 2 else n[:]
+    powers = ((p, wp),) if p == 2 else ((p - 1, w), (p, wp))
+    for k in range(3, size):
+        n[k] = wp[k - 1] - n[k - 1] + n[k - 3]
+        for a, pw in powers:
+            # ((a + 1) j - k) for j = 3..k, times N_j, times W_{k-j}
+            c = map(mul, range(3 * a + 3 - k, a * k + 1, a + 1), n[3:k + 1])
+            pw[k], r = divmod(sum(map(mul, c, reversed(pw[:k - 2]))), k)
+            if r:
+                raise ArithmeticError(f"coefficient {k} of N^{a} is not an integer")
+    m = [1] + w[3:]  # M = P_{p-1} = 1 + x^-2 (N^(p-1) - 1), order n
+    # L = 1/(1 - xM) and Q = 1/(1 - x^2 M) at order n + 1
+    l, q = [1] + [0] * order, [1] + [0] * order
+    for k in range(1, order + 1):
+        l[k] = sum(map(mul, m[:k], reversed(l[:k])))
+        q[k] = sum(map(mul, m[:k - 1], reversed(q[:k - 1])))
+    lq = [x - y for x, y in zip(l[1:], q[1:])]  # (L - Q)/x
+    return [x + y for x, y in zip(lq, [0] + lq)]
 
 
 class GrowthSeriesBundle(NamedTuple):

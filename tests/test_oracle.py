@@ -324,6 +324,11 @@ def test_bfs_positive_monoid_yields_sorted_spellings():
     assert len(words) == len(set(words))
 
 
+def test_bfs_positive_monoid_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        bfs_positive_monoid(2, -1, 2)
+
+
 def test_enumerate_infinite_nf_agrees_with_filtering():
     from thompson_fp.normal_forms import is_infinite_nf
     from thompson_fp.words import x

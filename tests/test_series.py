@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from thompson_fp import series
 from thompson_fp.automaton import language_counts, phi_series
 from thompson_fp.series import (
     PowerSeries,
     check_eqonn,
     expand_rational,
+    positive_counts,
     positive_growth_series,
     series_to_ints,
     solve_M,
@@ -207,6 +209,31 @@ def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, p, bad_call):
         with pytest.raises(ArithmeticError, match=re.escape("the two routes to S disagree")):
             positive_growth_series(p, order)
         assert spoiled == [bad_call] and len(calls) == p + 1, order
+
+
+def test_positive_counts_equal_the_bundle():
+    # Miller's power recurrence against the bundle, whose two routes to S agree
+    for p in range(2, 9):
+        assert positive_counts(p, 200) == positive_growth_series(p, 200).counts(), p
+    for p in (2, 3, 4, 5, 6, 9, 13, 20, 45, 70):
+        for order in range(1, 41):
+            bundle = positive_growth_series(p, order)
+            assert positive_counts(p, order) == bundle.counts(), (p, order)
+
+
+def test_positive_counts_check_their_arguments():
+    with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
+        positive_counts(1, 5)
+    with pytest.raises(ValueError, match=re.escape("order must be >= 1, got 0")):
+        positive_counts(2, 0)
+
+
+def test_positive_counts_catch_a_wrong_product(monkeypatch):
+    # one too large, every product leaves Miller's first division by k = 3
+    # with a remainder, so the exactness check must fire
+    monkeypatch.setattr(series, "mul", lambda a, b: a * b + 1)
+    with pytest.raises(ArithmeticError, match=re.escape("coefficient 3 of N^2 is not an integer")):
+        positive_counts(3, 5)
 
 
 def test_order_zero_has_no_bundle():
