@@ -75,17 +75,17 @@ def _walk(p: int) -> Iterator[int]:
 
 def language_counts(p: int, order: int) -> list[int]:
     """|L_p ∩ Σ^n| for every n < order, from a single walk."""
+    _check_p(p)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    _check_p(p)
     return list(itertools.islice(_walk(p), order))
 
 
 def count_paths(p: int, n: int) -> int:
     """Number of length-n paths from the start state = |L_p ∩ Σ^n|."""
+    _check_p(p)
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    _check_p(p)
     return next(itertools.islice(_walk(p), n, None))
 
 
@@ -113,9 +113,9 @@ def language_counts_bruteforce(p: int, order: int) -> list[int]:
     is at most 2p/(2p-1) <= 4/3 times its last term, so the guard bounds
     the work by 4/3 of the limit.
     """
+    _check_p(p)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    _check_p(p)
     if order == 0:
         return []
     total = (2 * p) ** (order - 1)

@@ -28,27 +28,25 @@ x N^p + (x^3 - x - 1) N + 1 = 0.
 
 The series is solved once, in integers, from that equation: rearranged to
 (1 + x - x^3) N = 1 + x N^p it is a triangular recurrence for the
-coefficients of N, carried along with those of N^2 .. N^p.  Every P_i is
-read from N^i, then M = P_{p-1}; each M_i = P_i / P_{i-1}, L and Q (at
-order n + 1, so that (L - Q)/x keeps order n) is one exact division.  The
-factored route L M_1...M_{p-2} R multiplies the quotients themselves, so
-its one comparison with S fails if any division is wrong.  That bundle,
-`positive_growth_series`, costs O(p n^2) products for n coefficients.
-
-The counts alone need only N^(p-1), for M = P_{p-1}, and N^p, for N's
-recurrence.  `positive_counts` steps N, N^(p-1) and N^p together, taking
-each power W = N^a from N by J. C. P. Miller's recurrence (Knuth, TAOCP
-vol. 2, 4.7): comparing coefficients of x^(k-1) in N W' = a N' W, with
-N_0 = 1, gives
+coefficients of N, which reads N^p, and every other power W = N^a comes
+from N by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+comparing coefficients of x^(k-1) in N W' = a N' W, with N_0 = 1, gives
 
     k W_k = sum_{j=1..k} ((a + 1) j - k) N_j W_{k-j},
 
-O(k) products per coefficient whatever p is, so O(n^2) in all.  The
-division by k is exact because W = N^a has integer coefficients; it is
-checked all the same.  It then takes L, Q and S as the bundle's first
-route does, on plain int lists.  The CLI prints from `positive_counts`;
-`verify`, the tests and the acceptance file read the bundle, and a test
-compares the two.
+O(k) products per coefficient whatever a is.  The division by k is exact
+because W has integer coefficients; it is checked all the same.  Each P_i
+is read from N^i.  `positive_counts` and `solve_M` ask for N^(p-1) and
+N^p, O(n^2) products for n coefficients; the counts take M = P_{p-1},
+then L and Q (at order n + 1, so that (L - Q)/x keeps order n) on plain
+int lists.  The bundle, `positive_growth_series`, asks for N .. N^p
+(O(p n^2) products), and each M_i = P_i / P_{i-1}, L and Q is one exact
+division; its factored route L M_1...M_{p-2} R multiplies the quotients
+themselves, so its one comparison with S fails if any division is wrong.
+The CLI prints from `positive_counts`; `verify`, the tests and the
+acceptance file read the bundle.  The powers' references are
+`PowerSeries.int_power`, which squares by schoolbook products,
+`check_eqonn`'s residual and the brute-force census.
 """
 
 from __future__ import annotations
@@ -178,31 +176,36 @@ def _coerce(v, order: int) -> PowerSeries:
     raise TypeError(f"cannot treat {type(v).__name__} as a power series")
 
 
-def _solve_n_powers(p: int, order: int) -> list[list[int]]:
-    """Coefficients 0..order+1 of N, N^2, ..., N^p (index j holds N^(j+1)).
+def _n_powers(p: int, order: int, exponents: Sequence[int]) -> list[list[int]]:
+    """Coefficients 0..order+1 of N^a for each a in exponents, which must
+    include p.
 
     N solves (1 + x - x^3) N = 1 + x N^p.  Coefficient k of x N^p needs only
     N_0..N_{k-1}, so N_k = [k=0] + (N^p)_{k-1} - N_{k-1} + N_{k-3}, after
-    which coefficient k of each higher power follows from the one below it."""
+    which coefficient k of every other power follows from N by Miller's
+    recurrence (module docstring), its division by k checked exact."""
     size = order + 2
-    powers = [[0] * size for _ in range(p)]
-    n = powers[0]
-    for k in range(size):
-        n[k] = 1 if k == 0 else powers[-1][k - 1] - n[k - 1]
-        if k >= 3:
-            n[k] += n[k - 3]
-        for lower, higher in zip(powers, powers[1:]):
-            higher[k] = sum(lower[t] * n[k - t] for t in range(k + 1))
-    return powers
+    # N = 1 + O(x^3), so N and its powers all begin 1, 0, 0, and Miller's
+    # sums start at j = 3; N^1 is N itself
+    n = [1] + [0] * (size - 1)
+    powers = {a: n if a == 1 else n[:] for a in exponents}
+    wp = powers[p]
+    stepped = [(a, w) for a, w in powers.items() if a != 1]
+    for k in range(3, size):
+        n[k] = wp[k - 1] - n[k - 1] + n[k - 3]
+        for a, w in stepped:
+            # ((a + 1) j - k) for j = 3..k, times N_j, times W_{k-j}
+            c = map(mul, range(3 * a + 3 - k, a * k + 1, a + 1), n[3:k + 1])
+            w[k], r = divmod(sum(map(mul, c, reversed(w[:k - 2]))), k)
+            if r:
+                raise ArithmeticError(f"coefficient {k} of N^{a} is not an integer")
+    return [powers[a] for a in exponents]
 
 
-def _p_products(p: int, order: int) -> list[PowerSeries]:
-    """P_0, ..., P_{p-1}, where P_i = M_1...M_i = 1 + x^-2 (N^i - 1).
-
-    N = 1 + O(x^3), so coefficient k of x^-2 (N^i - 1) is (N^i)_{k+2}."""
-    one = PowerSeries.one(order)
-    powers = _solve_n_powers(p, order)[:-1]
-    return [one] + [one + PowerSeries.from_coeffs(c[2:]) for c in powers]
+def _p_series(n_power: list[int], order: int) -> PowerSeries:
+    """P_i = M_1...M_i = 1 + x^-2 (N^i - 1) from coefficients 0..order+1 of
+    N^i.  N = 1 + O(x^3), so coefficient k >= 1 of P_i is (N^i)_{k+2}."""
+    return PowerSeries.from_coeffs([1] + n_power[3:], order)
 
 
 def solve_M(p: int, order: int) -> PowerSeries:
@@ -210,31 +213,17 @@ def solve_M(p: int, order: int) -> PowerSeries:
 
         M = 1 + x^-2 ((1 - x^3 M)^-(p-1) - 1)."""
     _check_p(p)
-    return _p_products(p, order)[-1]
+    return _p_series(_n_powers(p, order, (p - 1, p))[0], order)
 
 
 def positive_counts(p: int, order: int) -> list[int]:
-    """s_0 .. s_{order-1} by the module docstring's second route: N, N^(p-1)
-    and N^p by Miller's recurrence, then S = (1 + x)(L - Q)/x."""
+    """s_0 .. s_{order-1}: M = P_{p-1} from N^(p-1), then L, Q and
+    S = (1 + x)(L - Q)/x as the bundle's first route takes them, on int
+    lists."""
     _check_p(p)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    size = order + 2  # coefficients 0..order+1, as in _solve_n_powers
-    # N = 1 + O(x^3), so N and its powers all begin 1, 0, 0, and Miller's
-    # sums start at j = 3; at p = 2, N^(p-1) is N itself
-    n = [1] + [0] * (size - 1)
-    wp = n[:]
-    w = n if p == 2 else n[:]
-    powers = ((p, wp),) if p == 2 else ((p - 1, w), (p, wp))
-    for k in range(3, size):
-        n[k] = wp[k - 1] - n[k - 1] + n[k - 3]
-        for a, pw in powers:
-            # ((a + 1) j - k) for j = 3..k, times N_j, times W_{k-j}
-            c = map(mul, range(3 * a + 3 - k, a * k + 1, a + 1), n[3:k + 1])
-            pw[k], r = divmod(sum(map(mul, c, reversed(pw[:k - 2]))), k)
-            if r:
-                raise ArithmeticError(f"coefficient {k} of N^{a} is not an integer")
-    m = [1] + w[3:]  # M = P_{p-1} = 1 + x^-2 (N^(p-1) - 1), order n
+    m = _p_series(_n_powers(p, order, (p - 1, p))[0], order).coeffs
     # L = 1/(1 - xM) and Q = 1/(1 - x^2 M) at order n + 1
     l, q = [1] + [0] * order, [1] + [0] * order
     for k in range(1, order + 1):
@@ -260,7 +249,8 @@ class GrowthSeriesBundle(NamedTuple):
 def positive_growth_series(p: int, order: int) -> GrowthSeriesBundle:
     """All subtree series plus S, computed two ways and cross-checked."""
     _check_p(p)
-    ps = _p_products(p, order)
+    powers = _n_powers(p, order, range(1, p + 1))
+    ps = [PowerSeries.one(order)] + [_p_series(w, order) for w in powers[:-1]]
     m = ps[-1]
     mi = tuple(ps[i] / ps[i - 1] for i in range(1, p))
     one = PowerSeries.one(order + 1)

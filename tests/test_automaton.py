@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -12,7 +13,7 @@ from thompson_fp.automaton import (
     language_counts_bruteforce,
     phi_series,
 )
-from thompson_fp import oracle
+from thompson_fp import oracle, series
 from thompson_fp.normal_forms import is_in_Lp
 from thompson_fp.series import series_to_ints
 from thompson_fp.words import Letter
@@ -113,13 +114,26 @@ def test_walk_costs_o_p_per_letter():
 
 
 def test_p_is_checked_before_the_walk():
-    # order 0 walks no letter, yet p is still checked; the order or length
-    # check comes first
+    # order 0 walks no letter, yet p is still checked; with a valid p the
+    # order or length gets its own message
     for f in (language_counts, count_paths):
         with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
             f(1, 0)
         with pytest.raises(ValueError, match="must be >= 0, got -1"):
-            f(1, -1)
+            f(2, -1)
+
+
+@pytest.mark.parametrize("call", [
+    language_counts, count_paths, language_counts_bruteforce, count_language_bruteforce,
+    phi_series, series.solve_M, series.positive_counts, series.positive_growth_series,
+    oracle.enumerate_positive_by_weight, oracle.bfs_group_ball,
+    functools.partial(oracle.bfs_positive_monoid, index_bound=3),
+    functools.partial(oracle.enumerate_infinite_nf, index_bound=3),
+], ids=lambda f: getattr(f, "func", f).__name__)
+def test_every_entry_point_reports_p_before_its_length(call):
+    # with both p and the length or order wrong, each one names p
+    with pytest.raises(ValueError, match="p must be an integer >= 2, got 1"):
+        call(1, -1)
 
 
 def test_count_paths_keeps_one_vector():

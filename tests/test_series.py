@@ -150,6 +150,34 @@ def test_solve_M_satisfies_its_equation():
         assert (lhs - rhs).is_zero
 
 
+def _check_n_powers(p, order):
+    powers = series._n_powers(p, order, range(1, p + 1))
+    n = PowerSeries.from_coeffs(powers[0])
+    assert n.order == order + 2, (p, order)
+    for a, w in enumerate(powers, 1):
+        assert tuple(w) == n.int_power(a).coeffs, (p, order, a)
+    x = PowerSeries.x(order + 2)
+    residual = x * n.int_power(p) + (x.int_power(3) - x - 1) * n + 1
+    assert residual.is_zero, (p, order)
+
+
+def test_n_powers_match_int_power():
+    # Miller's recurrence against schoolbook squaring of the kernel's own N,
+    # and N against the master equation
+    for p in range(2, 9):
+        for order in (*range(41), 200):
+            _check_n_powers(p, order)
+    for p in (20, 45):
+        _check_n_powers(p, 60)
+
+
+def test_solve_M_at_the_smallest_orders():
+    for p in (2, 3, 6):
+        assert solve_M(p, 0) == PowerSeries(())
+    assert solve_M(3, 1).coeffs == (1,)
+    assert solve_M(3, 2).coeffs == (1, 2)
+
+
 def test_middle_series_product_telescopes():
     p, order = 4, 12
     prod = PowerSeries.one(order)
@@ -212,7 +240,8 @@ def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, p, bad_call):
 
 
 def test_positive_counts_equal_the_bundle():
-    # Miller's power recurrence against the bundle, whose two routes to S agree
+    # the int-list L, Q and S against the bundle's series divisions, whose
+    # two routes to S agree; both read N^(p-1) from the same kernel
     for p in range(2, 9):
         assert positive_counts(p, 200) == positive_growth_series(p, 200).counts(), p
     for p in (2, 3, 4, 5, 6, 9, 13, 20, 45, 70):
@@ -232,8 +261,10 @@ def test_positive_counts_catch_a_wrong_product(monkeypatch):
     # one too large, every product leaves Miller's first division by k = 3
     # with a remainder, so the exactness check must fire
     monkeypatch.setattr(series, "mul", lambda a, b: a * b + 1)
-    with pytest.raises(ArithmeticError, match=re.escape("coefficient 3 of N^2 is not an integer")):
-        positive_counts(3, 5)
+    message = re.escape("coefficient 3 of N^2 is not an integer")
+    for solve in (positive_counts, solve_M, positive_growth_series):
+        with pytest.raises(ArithmeticError, match=message):
+            solve(3, 5)
 
 
 def test_order_zero_has_no_bundle():
