@@ -250,10 +250,20 @@ def _json_rational(v: Fraction):
     return v.numerator if v.denominator == 1 else str(v)
 
 
+def _json_trace(trace: list) -> str:
+    """json.dumps(trace), encoding each distinct entry object once: the
+    entries of a rule trace are shared, one dict per rule and position."""
+    # the trace holds every entry, so no id is reused while this runs
+    text = {i: json.dumps(entry) for i, entry in dict(zip(map(id, trace), trace)).items()}
+    return "[%s]" % ", ".join(map(text.__getitem__, map(id, trace)))
+
+
 def _render(payload: dict, rows: list[dict] | None) -> str:
     """The whole text of one result: the rows as a CSV table whose header is
     the first row's keys, or else the payload as one JSON object with
-    "schema" first and each Fraction as an int or a "num/den" string.
+    "schema" first and each Fraction as an int or a "num/den" string.  A
+    "trace" is encoded by _json_trace and spliced in where json.dumps
+    would put it, so the text is json.dumps's to the byte.
 
     Integers of any size print in full: the interpreter's limit on int-to-str
     digits is lifted for this step alone and restored after it, so arguments
@@ -266,7 +276,16 @@ def _render(payload: dict, rows: list[dict] | None) -> str:
             cols = list(rows[0])
             lines = [",".join(str(row[c]) for c in cols) for row in rows]
             return "\n".join([",".join(cols), *lines])
-        return json.dumps({"schema": SCHEMA, **payload}, default=_json_rational)
+        obj = {"schema": SCHEMA, **payload}
+        if "trace" not in obj:
+            return json.dumps(obj, default=_json_rational)
+        # json.dumps writes a dict as {"key": value, ...}; one join builds it
+        parts = []
+        for k, v in obj.items():
+            parts += (", " if parts else "{", json.dumps(k), ": ")
+            parts.append(_json_trace(v) if k == "trace" else json.dumps(v, default=_json_rational))
+        parts.append("}")
+        return "".join(parts)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

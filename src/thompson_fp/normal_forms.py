@@ -82,8 +82,10 @@ PUSH_NEG = "push-negative"
 # tuple of 10**7 letters already holds 80 MB of references.
 BAR_LENGTH_LIMIT = 10**7
 
-# The most entries a rule trace may hold.  A trace has one dict per rewrite,
-# and a positive word of n letters can take about n**2 / 2 rewrites.
+# The most entries a rule trace may hold.  A trace has one entry per
+# rewrite, and a positive word of n letters can take about n**2 / 2
+# rewrites; the entries refer to at most 3 n distinct dicts, one per rule
+# and position, so a trace costs a reference per rewrite.
 TRACE_LENGTH_LIMIT = 10**6
 
 _X0, _X0_INV = Letter(0, 1), Letter(0, -1)
@@ -119,6 +121,21 @@ def _check_trace_room(trace: list, entries: int) -> None:
         )
 
 
+def _entries(row: list, rule: str, lo: int, hi: int) -> list:
+    """The trace entries {"rule": rule, "position": i} for lo <= i < hi,
+    read from row, one call's table of them for rule by position, and made
+    there where it has none yet."""
+    if len(row) < hi:
+        row += [None] * (hi - len(row))
+    found = row[lo:hi]
+    if not all(found):  # an entry is a nonempty dict
+        for i in range(lo, hi):
+            if row[i] is None:
+                row[i] = {"rule": rule, "position": i}
+        found = row[lo:hi]
+    return found
+
+
 def step_budget(word_len: int) -> int:
     """Upper bound on rewriting steps: each unordered letter pair swaps at
     most once and each cancellation removes two letters."""
@@ -143,7 +160,11 @@ def to_infinite_nf(
     entry per rewrite: when b crosses a run of r letters at the end of a
     prefix of length m, the run's rule at positions m - 1 down to m - r, then
     a cancel at m - r - 1 if b cancels.  A ValueError is raised before
-    the trace would grow past TRACE_LENGTH_LIMIT entries."""
+    the trace would grow past TRACE_LENGTH_LIMIT entries.
+
+    Each entry is a {"rule", "position"} dict, made once per call for each
+    (rule, position) it names, so the entries of one trace are shared: a
+    run's rewrites append references to them.  They are read-only."""
     _check_p(p)
     w = tuple(word)
     budget = step_budget(len(w))
@@ -154,6 +175,8 @@ def to_infinite_nf(
     # shift stays 0 and its minimum is never read.
     blocks = [[[], [], 0, 0]]
     last = 0  # len(blocks) - 1
+    # the trace's entries by rule, indexed by position; None until first used
+    entries = {PUSH_POS: [], PUSH_NEG: [], CANCEL: []} if trace is not None else None
     for b, e in w:
         if e > 0:
             top, shift, rule = b, p - 1, PUSH_POS
@@ -184,9 +207,10 @@ def to_infinite_nf(
         if trace is not None:
             _check_trace_room(trace, steps)
             m = sum(len(block[0]) for block in blocks)
-            trace += [{"rule": rule, "position": i} for i in range(m - 1, m - run - 1, -1)]
+            if run:
+                trace += reversed(_entries(entries[rule], rule, m - run, m))
             if cancels:
-                trace.append({"rule": CANCEL, "position": m - run - 1})
+                trace += _entries(entries[CANCEL], CANCEL, m - run - 1, m - run)
         if j < n:
             idx[j:] = [i + shift for i in idx[j:]]
         if cancels:

@@ -9,7 +9,8 @@ meaningful evidence:
     and whose spine ends at a hanging caret, filtered by reducedness,
     weighed by the Fordham rules and histogrammed by weight -> positive
     growth counts.  Each distinct hanging subtree is weighed once per call.
-    Its premises on the weight table are `_Walk`'s.
+    Its premises on the weight table are `_Walk`'s.  It refuses at once a
+    weight whose series counts already pass TREE_ENUMERATION_LIMIT.
     enumerate_middle_by_weight histograms the same walk's list of hanging
     middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
@@ -195,10 +196,30 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     one is weighed whole with the Fordham rules, so the counts take nothing
     from the series.  A hanging subtree is weighed once per call, though
     the walk builds it, and counts it in trees_scanned, once per budget
-    whose draw reaches it."""
+    whose draw reaches it.
+
+    The walk builds every reduced tree of weight <= max_weight, one per
+    positive element of that length or less, so the series' positive
+    counts up to max_weight bound its work from below: if their sum passes
+    TREE_ENUMERATION_LIMIT, EnumerationGuardError is raised before the
+    walk.  The pre-check reads at most TREE_ENUMERATION_LIMIT.bit_length()
+    + 1 counts, so its cost does not grow with the weight, and those
+    already pass the limit, since s_n >= p**n >= 2**n (the tests check it
+    at p = 2..8).  It is skipped where the counts cannot pass the limit:
+    an element of length n is a word of n letters x_i^±1, so s_n <=
+    (2p)**n, and s_0 + ... + s_(k-1) < (2p)**k.  Otherwise the walk's own
+    count of built trees refuses it."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    order = min(max_weight, TREE_ENUMERATION_LIMIT.bit_length()) + 1
+    if (2 * p) ** order > TREE_ENUMERATION_LIMIT and (
+        sum(series.positive_counts(p, order)) > TREE_ENUMERATION_LIMIT
+    ):
+        raise EnumerationGuardError(
+            f"the census would build more than {TREE_ENUMERATION_LIMIT} trees; "
+            f"lower max_weight"
+        )
     walk = _Walk(p)
     counts = [0] * (max_weight + 1)
     for tree in itertools.chain((LEAF,), walk._candidates(max_weight)):

@@ -13,7 +13,8 @@ import pytest
 from fractions import Fraction
 
 from thompson_fp import automaton, fordham, normal_forms
-from thompson_fp.cli import build_parser, run
+from thompson_fp.cli import SCHEMA, _json_rational, _render, build_parser, run
+from thompson_fp.words import format_word, parse_word
 
 
 def _run_json(capsys, argv):
@@ -303,6 +304,36 @@ def test_output_bytes_are_pinned(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+
+
+def test_traced_output_is_json_dumps_to_the_byte():
+    # _render encodes each shared trace entry once and splices the trace in;
+    # the text must be plain json.dumps's, wherever "trace" sits
+    rng = random.Random(3)
+    cases = [(3, "x0 x1 x4", "inf"), (3, "x0 x1 x4", "fin"), (2, "x2 x0", "fin")]
+    for p in (2, 3, 5):
+        for _ in range(3):
+            word = " ".join(
+                f"x{rng.randint(0, 3 * p)}" + rng.choice(("", "^-1")) for _ in range(40)
+            )
+            cases += [(p, word, "inf"), (p, word, "fin")]
+    rules = set()
+    for p, word, form in cases:
+        trace = []
+        w = parse_word(word)
+        nf = normal_forms.to_infinite_nf if form == "inf" else normal_forms.finite_nf
+        payload = {
+            "command": "normalize", "p": p, "word": word, "form": form,
+            "result": format_word(nf(p, w, trace)), "trace": trace,
+        }
+        rules |= {entry["rule"] for entry in trace}
+        for extra in ({}, {"after": Fraction(-7, 3), "big": 10**5000}):
+            obj = {"schema": SCHEMA, **payload, **extra}
+            with _no_digit_limit():
+                expected = json.dumps(obj, default=_json_rational)
+            assert _render({**payload, **extra}, None) == expected, (p, word, form)
+    assert rules == {"cancel", "push-positive", "push-negative", "bar"}
+    assert _render({"trace": []}, None) == '{"schema": "1", "trace": []}'
 
 
 def _digit_limit():

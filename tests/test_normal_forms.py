@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -264,6 +265,33 @@ def test_long_trace_replays_to_the_result():
         assert _rule_at(p, replay, entry["position"]) == entry["rule"], entry
         _apply(replay, entry["position"], entry["rule"], p)
     assert tuple(replay) == nf
+
+
+def test_trace_shares_one_entry_per_rule_and_position():
+    # a positive word of n letters takes about n**2 / 4 rewrites here, but
+    # names at most 3 n (rule, position) pairs: the trace holds references
+    rng = random.Random(1)
+    w = tuple(Letter(rng.randint(0, 9), 1) for _ in range(600))
+    tracemalloc.start()
+    try:
+        trace = []
+        to_infinite_nf(3, w, trace)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 158_741
+    assert kept <= 32 * len(trace)
+    distinct = {id(entry): entry for entry in trace}
+    assert len(distinct) <= 3 * len(w)
+    assert sorted((e["rule"], e["position"]) for e in distinct.values()) == sorted(
+        {(e["rule"], e["position"]) for e in trace}
+    )
+    rng = random.Random(7)
+    w = tuple(Letter(rng.randint(0, 9), rng.choice((1, -1))) for _ in range(400))
+    trace = []
+    to_infinite_nf(3, w, trace)
+    assert {e["rule"] for e in trace} == {CANCEL, PUSH_NEG, PUSH_POS}
+    assert len({id(e) for e in trace}) == len({(e["rule"], e["position"]) for e in trace})
 
 
 def _bar_reference(p, word):

@@ -18,7 +18,7 @@ from thompson_fp.oracle import (
     is_reduced_positive_tree,
     verify_suite,
 )
-from thompson_fp.series import positive_growth_series
+from thompson_fp.series import positive_counts, positive_growth_series
 from thompson_fp.words import Letter
 
 
@@ -213,6 +213,39 @@ def test_census_guard_counts_trees_built(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"error: the census built more than {built - 1} trees; lower max_weight\n"
+    )
+
+
+def test_census_refuses_at_once_past_the_series_counts(monkeypatch, capsys):
+    # the positive counts up to a weight bound the trees the walk builds, so
+    # past the limit the census is refused before the walk starts; the
+    # pre-check reads few counts (s_n >= p**n) and skips weights whose
+    # counts cannot pass it (s_n <= (2p)**n)
+    for p in range(2, 9):
+        counts = positive_counts(p, 40)
+        assert all(p**n <= s <= (2 * p) ** n for n, s in enumerate(counts)), p
+    reach = sum(positive_counts(2, 7))  # the reduced trees of weight <= 6
+    monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", reach)
+    with pytest.raises(EnumerationGuardError, match=f"census built more than {reach} trees"):
+        enumerate_positive_by_weight(2, 6)  # the walk's own count refuses it
+    monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", reach - 1)
+
+    def no_walk(p):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(oracle, "_Walk", no_walk)
+    with pytest.raises(EnumerationGuardError, match=f"would build more than {reach - 1} trees"):
+        enumerate_positive_by_weight(2, 6)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_Walk", no_walk)
+    for p, w in ((2, 21), (3, 15), (20, 6), (2, 10**9)):
+        with pytest.raises(EnumerationGuardError, match="would build more than 20000000 trees"):
+            enumerate_positive_by_weight(p, w)
+    assert run(["growth", "positive", "--p", "2", "--n", "100", "--method", "brute"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the census would build more than 20000000 trees; lower max_weight\n"
     )
 
 
