@@ -10,7 +10,8 @@ meaningful evidence:
     weighed by the Fordham rules and histogrammed by weight -> positive
     growth counts.  Each distinct hanging subtree is weighed once per call.
     Its premises on the weight table are `_Walk`'s.  It refuses at once a
-    weight whose series counts already pass TREE_ENUMERATION_LIMIT.
+    weight whose series counts of the trees and of the left subtrees it
+    builds already pass TREE_ENUMERATION_LIMIT.
     enumerate_middle_by_weight histograms the same walk's list of hanging
     middle subtrees -> the M_i series.
   * bfs_group_ball: breadth-first search of the Cayley ball over the
@@ -198,28 +199,33 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
     the walk builds it, and counts it in trees_scanned, once per budget
     whose draw reaches it.
 
-    The walk builds every reduced tree of weight <= max_weight, one per
-    positive element of that length or less, so the series' positive
-    counts up to max_weight bound its work from below: if their sum passes
-    TREE_ENUMERATION_LIMIT, EnumerationGuardError is raised before the
-    walk.  The pre-check reads at most TREE_ENUMERATION_LIMIT.bit_length()
-    + 1 counts, so its cost does not grow with the weight, and those
-    already pass the limit, since s_n >= p**n >= 2**n (the tests check it
-    at p = 2..8).  It is skipped where the counts cannot pass the limit:
-    an element of length n is a word of n letters x_i^±1, so s_n <=
-    (2p)**n, and s_0 + ... + s_(k-1) < (2p)**k.  Otherwise the walk's own
-    count of built trees refuses it."""
+    The walk builds every reduced tree of weight <= W = max_weight, one per
+    positive element of that length or less.  At W >= 1 it also draws the
+    root's left child by `_Walk._hanging(LEFT, 0, W)`, which builds every
+    left subtree of weight 1..W, as its top caret weighs >= 1; the series
+    L counts those by weight.  So s_0 + ... + s_W plus l_1 + ... + l_W,
+    read from one `series._tail`, bound the walk's work from below: if the
+    bound passes TREE_ENUMERATION_LIMIT, EnumerationGuardError is raised
+    before the walk.  The pre-check reads at most
+    TREE_ENUMERATION_LIMIT.bit_length() + 1 counts, so its cost does not
+    grow with the weight, and those already pass the limit, since s_n >=
+    p**n >= 2**n (the tests check it at p = 2..8).  It is skipped where
+    the bound cannot pass the limit: an element of length n is a word of n
+    letters x_i^±1, so s_n <= (2p)**n; S = L M_1...M_(p-2) R, whose
+    factors count trees and whose M_i and R start at 1, so l_n <= s_n; and
+    the bound up to W = k - 1 is then below 2 (2p)**k / (2p - 1) < (2p)**k.
+    Otherwise the walk's own count of built trees refuses it."""
     _check_p(p)
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     order = min(max_weight, TREE_ENUMERATION_LIMIT.bit_length()) + 1
-    if (2 * p) ** order > TREE_ENUMERATION_LIMIT and (
-        sum(series.positive_counts(p, order)) > TREE_ENUMERATION_LIMIT
-    ):
-        raise EnumerationGuardError(
-            f"the census would build more than {TREE_ENUMERATION_LIMIT} trees; "
-            f"lower max_weight"
-        )
+    if (2 * p) ** order > TREE_ENUMERATION_LIMIT:
+        l, _, s = series._tail(series.solve_M(p, order).coeffs)
+        if sum(s) + sum(l[1:order]) > TREE_ENUMERATION_LIMIT:
+            raise EnumerationGuardError(
+                f"the census would build more than {TREE_ENUMERATION_LIMIT} trees; "
+                f"lower max_weight"
+            )
     walk = _Walk(p)
     counts = [0] * (max_weight + 1)
     for tree in itertools.chain((LEAF,), walk._candidates(max_weight)):
@@ -233,10 +239,9 @@ def enumerate_positive_by_weight(p: int, max_weight: int) -> PositiveCensus:
 
 def enumerate_middle_by_weight(p: int, i: int, max_weight: int) -> tuple[int, ...]:
     """Count trees weighed as hanging middle subtrees of kind M^i, by weight:
-    the histogram of the census walk's list of them."""
+    the histogram of the census walk's list of them.  The walk's kind table,
+    `fordham._child_kinds`, refuses a middle index outside 1..p-1."""
     _check_p(p)
-    if not 1 <= i <= p - 1:
-        raise ValueError(f"middle index must be in 1..{p - 1}, got {i}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     counts = [0] * (max_weight + 1)

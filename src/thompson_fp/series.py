@@ -36,15 +36,16 @@ comparing coefficients of x^(k-1) in N W' = a N' W, with N_0 = 1, gives
 
 O(k) products per coefficient whatever a is.  The division by k is exact
 because W has integer coefficients; it is checked all the same.  Each P_i
-is read from N^i.  `positive_counts` and `solve_M` ask for N^(p-1) and
-N^p, O(n^2) products for n coefficients; the counts take M = P_{p-1},
-then L and Q (at order n + 1, so that (L - Q)/x keeps order n) on plain
-int lists.  The bundle, `positive_growth_series`, asks for N .. N^p
-(O(p n^2) products), and each M_i = P_i / P_{i-1}, L and Q is one exact
-division; its factored route L M_1...M_{p-2} R multiplies the quotients
-themselves, so its one comparison with S fails if any division is wrong.
-The CLI prints from `positive_counts`; `verify`, the tests and the
-acceptance file read the bundle.  The powers' references are
+is read from N^i.  `solve_M` asks for N^(p-1) and N^p, O(n^2) products
+for n coefficients.  One private tail, `_tail`, takes L, Q and S from M
+on plain int lists, dividing nothing; `positive_counts`, which the CLI
+prints, is its S of `solve_M`'s M.  The bundle, `positive_growth_series`,
+which `verify`, the tests and the acceptance file read, asks for N .. N^p
+(O(p n^2) products), makes the module's p - 1 series divisions,
+M_i = P_i / P_{i-1}, and takes L, Q and S from the same tail.  Its
+factored route L M_1...M_{p-2} R multiplies the quotients and the tail's
+L and Q, so its one comparison with the tail's S fails if either is wrong.
+The powers' references are
 `PowerSeries.int_power`, which squares by schoolbook products,
 `check_eqonn`'s residual and the brute-force census.
 """
@@ -216,21 +217,25 @@ def solve_M(p: int, order: int) -> PowerSeries:
     return _p_series(_n_powers(p, order, (p - 1, p))[0], order)
 
 
-def positive_counts(p: int, order: int) -> list[int]:
-    """s_0 .. s_{order-1}: M = P_{p-1} from N^(p-1), then L, Q and
-    S = (1 + x)(L - Q)/x as the bundle's first route takes them, on int
-    lists."""
-    _check_p(p)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    m = _p_series(_n_powers(p, order, (p - 1, p))[0], order).coeffs
-    # L = 1/(1 - xM) and Q = 1/(1 - x^2 M) at order n + 1
-    l, q = [1] + [0] * order, [1] + [0] * order
+def _tail(m: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """L = 1/(1 - xM) and Q = 1/(1 - x^2 M) at order n + 1, and S =
+    (1 + x)(L - Q)/x at order n, from M at order n, as int lists: the one
+    route to them, shared by `positive_counts`, the bundle and the census."""
+    order = len(m)
+    l, q = [1] + [0] * order, [1] + [0] * order  # so that (L - Q)/x keeps order n
     for k in range(1, order + 1):
         l[k] = sum(map(mul, m[:k], reversed(l[:k])))
         q[k] = sum(map(mul, m[:k - 1], reversed(q[:k - 1])))
     lq = [x - y for x, y in zip(l[1:], q[1:])]  # (L - Q)/x
-    return [x + y for x, y in zip(lq, [0] + lq)]
+    return l, q, [x + y for x, y in zip(lq, [0] + lq)]
+
+
+def positive_counts(p: int, order: int) -> list[int]:
+    """s_0 .. s_{order-1}: S from `_tail` of M = `solve_M`."""
+    _check_p(p)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return _tail(solve_M(p, order).coeffs)[2]
 
 
 class GrowthSeriesBundle(NamedTuple):
@@ -247,18 +252,13 @@ class GrowthSeriesBundle(NamedTuple):
 
 
 def positive_growth_series(p: int, order: int) -> GrowthSeriesBundle:
-    """All subtree series plus S, computed two ways and cross-checked."""
+    """All subtree series plus S, from `_tail`, checked by the factored route."""
     _check_p(p)
     powers = _n_powers(p, order, range(1, p + 1))
     ps = [PowerSeries.one(order)] + [_p_series(w, order) for w in powers[:-1]]
     m = ps[-1]
     mi = tuple(ps[i] / ps[i - 1] for i in range(1, p))
-    one = PowerSeries.one(order + 1)
-    xm = PowerSeries((0,) + m.coeffs)  # x M, and below x^2 M, at order n + 1
-    l = one / (one - xm)
-    q = one / (one - PowerSeries((0,) + xm.coeffs[:-1]))
-    lq = PowerSeries((l - q).coeffs[1:])  # (L - Q)/x: L and Q both start at 1
-    s = lq + PowerSeries((0,) + lq.coeffs)
+    l, q, s = (PowerSeries(tuple(c)) for c in _tail(m.coeffs))
     mq = mi[-1] * q
     r = mq - PowerSeries((0, 0) + mq.coeffs)
     s_factored = l * r

@@ -216,15 +216,34 @@ def test_census_guard_counts_trees_built(monkeypatch, capsys):
     )
 
 
+def _census_bound(p, w):
+    # the reduced trees of weight <= w and the left subtrees of weight 1..w
+    return sum(positive_counts(p, w + 1)) + sum(positive_growth_series(p, w + 1).l.coeffs[1:])
+
+
+@pytest.mark.parametrize(
+    "p, w, bound, built",
+    [(2, 6, 251, 377), (2, 12, 31_260, 40_701), (3, 5, 567, 862), (4, 4, 456, 755),
+     (5, 3, 191, 340), (9, 2, 101, 190)],
+)
+def test_census_builds_at_least_the_series_bound(p, w, bound, built):
+    # the walk builds every reduced tree of weight <= w, and draws the
+    # root's left child through every left subtree of weight 1..w
+    assert _census_bound(p, w) == bound
+    assert enumerate_positive_by_weight(p, w).trees_scanned == built >= bound
+
+
 def test_census_refuses_at_once_past_the_series_counts(monkeypatch, capsys):
-    # the positive counts up to a weight bound the trees the walk builds, so
-    # past the limit the census is refused before the walk starts; the
-    # pre-check reads few counts (s_n >= p**n) and skips weights whose
-    # counts cannot pass it (s_n <= (2p)**n)
+    # the positive counts and the left-subtree counts up to a weight bound
+    # the trees the walk builds, so past the limit the census is refused
+    # before the walk starts; the pre-check reads few counts (s_n >= p**n)
+    # and skips weights whose bound cannot pass it (l_n <= s_n <= (2p)**n)
     for p in range(2, 9):
         counts = positive_counts(p, 40)
         assert all(p**n <= s <= (2 * p) ** n for n, s in enumerate(counts)), p
-    reach = sum(positive_counts(2, 7))  # the reduced trees of weight <= 6
+        left = positive_growth_series(p, 40).l.coeffs
+        assert all(l <= s for l, s in zip(left, counts)), p
+    reach = _census_bound(2, 6)
     monkeypatch.setattr(oracle, "TREE_ENUMERATION_LIMIT", reach)
     with pytest.raises(EnumerationGuardError, match=f"census built more than {reach} trees"):
         enumerate_positive_by_weight(2, 6)  # the walk's own count refuses it
@@ -238,15 +257,16 @@ def test_census_refuses_at_once_past_the_series_counts(monkeypatch, capsys):
         enumerate_positive_by_weight(2, 6)
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_Walk", no_walk)
-    for p, w in ((2, 21), (3, 15), (20, 6), (2, 10**9)):
+    for p, w in ((2, 20), (2, 21), (3, 14), (5, 10), (20, 6), (2, 10**9)):
         with pytest.raises(EnumerationGuardError, match="would build more than 20000000 trees"):
             enumerate_positive_by_weight(p, w)
-    assert run(["growth", "positive", "--p", "2", "--n", "100", "--method", "brute"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the census would build more than 20000000 trees; lower max_weight\n"
-    )
+    for n in (21, 100):
+        assert run(["growth", "positive", "--p", "2", "--n", str(n), "--method", "brute"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the census would build more than 20000000 trees; lower max_weight\n"
+        )
 
 
 def test_middle_census_matches_the_series_bundle():

@@ -215,39 +215,65 @@ def test_bundle_is_consistent():
         assert all(type(c) is int for c in ps.coeffs)
 
 
-@pytest.mark.parametrize("p, bad_call", [(p, k) for p in (2, 3, 4, 6) for k in range(p + 1)])
-def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, p, bad_call):
-    # a bundle divides p + 1 times, for M_1 .. M_{p-1}, L and Q; add 1 to
-    # the last coefficient of one quotient and the one check must fire
-    div = PowerSeries.__truediv__
+@pytest.mark.parametrize("p, bad", [(p, k) for p in (2, 3, 4, 6) for k in range(p + 1)])
+def test_bundle_checks_catch_a_wrong_quotient(monkeypatch, p, bad):
+    # a bundle divides p - 1 times, for M_1 .. M_{p-1}, and reads L, Q and S
+    # from the tail; add 1 to the last coefficient of one quotient (bad <
+    # p - 1), or to the last or a middle one of L (bad = p - 1) or Q (bad =
+    # p) with S taken from the spoiled series, and the one check must fire
+    div, tail = PowerSeries.__truediv__, series._tail
     calls, spoiled = [], []
 
     def spoiled_div(self, other):
         q = div(self, other)
-        if len(calls) == bad_call:
+        if len(calls) == bad:
             q = q + PowerSeries.from_coeffs([0] * (q.order - 1) + [1])
             spoiled.append(len(calls))
         calls.append(1)
         return q
 
+    def spoiled_tail(m):
+        l, q, _ = tail(m)
+        (l, q)[bad - p + 1][at] += 1
+        d = [x - y for x, y in zip(l[1:], q[1:])]  # S = (1 + x)(L - Q)/x
+        spoiled.append(bad)
+        return l, q, [x + y for x, y in zip(d, [0] + d)]
+
     monkeypatch.setattr(PowerSeries, "__truediv__", spoiled_div)
+    if bad >= p - 1:
+        monkeypatch.setattr(series, "_tail", spoiled_tail)
     for order in (1, 2, 5, 12):
-        calls.clear()
-        spoiled.clear()
-        with pytest.raises(ArithmeticError, match=re.escape("the two routes to S disagree")):
-            positive_growth_series(p, order)
-        assert spoiled == [bad_call] and len(calls) == p + 1, order
+        for at in {order, (order + 1) // 2}:  # L and Q have order + 1 coefficients
+            calls.clear()
+            spoiled.clear()
+            with pytest.raises(ArithmeticError, match=re.escape("the two routes to S disagree")):
+                positive_growth_series(p, order)
+            assert spoiled == [bad] and len(calls) == p - 1, (order, at)
 
 
 def test_positive_counts_equal_the_bundle():
-    # the int-list L, Q and S against the bundle's series divisions, whose
-    # two routes to S agree; both read N^(p-1) from the same kernel
+    # the CLI's counts against the bundle's, whose S the factored route
+    # through the quotients M_i checks; both read N^(p-1) from the same
+    # kernel and L, Q and S from the same tail
     for p in range(2, 9):
         assert positive_counts(p, 200) == positive_growth_series(p, 200).counts(), p
     for p in (2, 3, 4, 5, 6, 9, 13, 20, 45, 70):
         for order in range(1, 41):
             bundle = positive_growth_series(p, order)
             assert positive_counts(p, order) == bundle.counts(), (p, order)
+
+
+def test_positive_counts_read_the_shared_tail(monkeypatch):
+    # the counts are the tail's S of solve_M's M, with no route of their own
+    seen = []
+
+    def tail(m):
+        seen.append(tuple(m))
+        return [1], [1], [7] * len(m)
+
+    monkeypatch.setattr(series, "_tail", tail)
+    assert positive_counts(3, 6) == [7] * 6
+    assert seen == [solve_M(3, 6).coeffs]
 
 
 def test_positive_counts_check_their_arguments():
